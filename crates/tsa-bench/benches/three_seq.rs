@@ -5,6 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use tsa_core::anchored::{self, AnchorConfig};
 use tsa_core::{
     affine, banded3, blocked, carrillo_lipman, full, hirschberg3, local, score_only, wavefront,
+    RunCtx, SimdKernel,
 };
 use tsa_scoring::GapModel;
 use tsa_scoring::Scoring;
@@ -27,13 +28,17 @@ fn bench_three_seq(c: &mut Criterion) {
             bch.iter(|| full::align_score(&a, &b, &cc, &scoring))
         });
         group.bench_with_input(BenchmarkId::new("wavefront", n), &n, |bch, _| {
-            bch.iter(|| wavefront::align_score(&a, &b, &cc, &scoring))
+            bch.iter(|| {
+                wavefront::fill(&a, &b, &cc, &scoring, &RunCtx::default())
+                    .unwrap()
+                    .final_score()
+            })
         });
         group.bench_with_input(BenchmarkId::new("blocked_t16", n), &n, |bch, _| {
             bch.iter(|| blocked::align_score(&a, &b, &cc, &scoring, 16))
         });
         group.bench_with_input(BenchmarkId::new("score_slabs", n), &n, |bch, _| {
-            bch.iter(|| score_only::score_slabs(&a, &b, &cc, &scoring))
+            bch.iter(|| score_only::score_slabs_with(&a, &b, &cc, &scoring, SimdKernel::Auto))
         });
         group.bench_with_input(BenchmarkId::new("hirschberg_dc", n), &n, |bch, _| {
             bch.iter(|| hirschberg3::align(&a, &b, &cc, &scoring).score)

@@ -8,7 +8,7 @@
 //! cell-level curve flattens against its barrier costs.
 
 use tsa_bench::{pool, table::Table, timing, workload, RunConfig};
-use tsa_core::{blocked, wavefront};
+use tsa_core::{blocked, wavefront, RunCtx};
 use tsa_perfmodel::{planes, CostModel};
 use tsa_scoring::Scoring;
 
@@ -29,7 +29,11 @@ pub fn run(cfg: &RunConfig) {
     let mut blk_model: Option<CostModel> = None;
     for p in cfg.thread_sweep() {
         let (_, t_wf) = timing::best_of(cfg.reps(), || {
-            pool::with_pool(p, || wavefront::align_score(&a, &b, &c, &scoring))
+            pool::with_pool(p, || {
+                wavefront::fill(&a, &b, &c, &scoring, &RunCtx::default())
+                    .unwrap()
+                    .final_score()
+            })
         });
         let (_, t_blk) = timing::best_of(cfg.reps(), || {
             pool::with_pool(p, || blocked::align_score(&a, &b, &c, &scoring, TILE))

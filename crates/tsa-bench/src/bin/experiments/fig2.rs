@@ -6,7 +6,7 @@
 //! ≤ 2× work in quadratic memory.
 
 use tsa_bench::{table::Table, timing, workload, RunConfig};
-use tsa_core::{blocked, full, hirschberg3, wavefront};
+use tsa_core::{blocked, full, hirschberg3, wavefront, RunCtx};
 use tsa_scoring::Scoring;
 
 pub fn run(cfg: &RunConfig) {
@@ -26,7 +26,11 @@ pub fn run(cfg: &RunConfig) {
         let (a, b, c) = workload::triple(n);
         let reps = cfg.reps();
         let (s0, t_full) = timing::best_of(reps, || full::align_score(&a, &b, &c, &scoring));
-        let (s1, t_wf) = timing::best_of(reps, || wavefront::align_score(&a, &b, &c, &scoring));
+        let (s1, t_wf) = timing::best_of(reps, || {
+            wavefront::fill(&a, &b, &c, &scoring, &RunCtx::default())
+                .unwrap()
+                .final_score()
+        });
         let (s2, t_blk) = timing::best_of(reps, || blocked::align_score(&a, &b, &c, &scoring, 16));
         let (al3, t_h) = timing::best_of(reps, || hirschberg3::align(&a, &b, &c, &scoring));
         let (al4, t_ph) =

@@ -8,7 +8,7 @@
 //! the schedule supports.
 
 use tsa_bench::{pool, table::Table, timing, workload, RunConfig};
-use tsa_core::wavefront;
+use tsa_core::{wavefront, RunCtx};
 use tsa_perfmodel::{planes, CostModel};
 use tsa_scoring::Scoring;
 use tsa_wavefront::stats::WavefrontStats;
@@ -32,7 +32,11 @@ pub fn run(cfg: &RunConfig) {
     };
     for p in sweep {
         let (_, wall) = timing::best_of(cfg.reps(), || {
-            pool::with_pool(p, || wavefront::align_score(&a, &b, &c, &scoring))
+            pool::with_pool(p, || {
+                wavefront::fill(&a, &b, &c, &scoring, &RunCtx::default())
+                    .unwrap()
+                    .final_score()
+            })
         });
         if p == 1 {
             base = wall.as_secs_f64();

@@ -35,12 +35,12 @@ pub fn run(cfg: &RunConfig) {
         cfg.csv,
     );
     for threads in cfg.thread_sweep() {
-        let (lat, profile) =
-            pool::with_pool(threads, || wavefront::fill_profiled(&a, &b, &c, &scoring));
-        // Keep the lattice alive until after timing is read: dropping it
+        let (aln, profile) =
+            pool::with_pool(threads, || wavefront::align_profiled(&a, &b, &c, &scoring));
+        // Keep the result alive until after timing is read: dropping it
         // early would be fine, but using it guards against the fill being
         // optimized into a different shape.
-        let _score = lat.final_score();
+        let _score = aln.score;
         let summary = profile.summary();
         let cmp = compare(&profile);
         t.row(vec![

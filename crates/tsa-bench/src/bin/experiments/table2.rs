@@ -8,7 +8,7 @@
 //! column is flat by construction; the model column carries the shape.
 
 use tsa_bench::{pool, table::Table, timing, workload, RunConfig};
-use tsa_core::wavefront;
+use tsa_core::{wavefront, RunCtx};
 use tsa_perfmodel::{model, planes, CostModel};
 use tsa_scoring::Scoring;
 
@@ -38,7 +38,11 @@ pub fn run(cfg: &RunConfig) {
         let mut model_: Option<CostModel> = None;
         for p in cfg.thread_sweep() {
             let (_, wall) = timing::best_of(cfg.reps(), || {
-                pool::with_pool(p, || wavefront::align_score(&a, &b, &c, &scoring))
+                pool::with_pool(p, || {
+                    wavefront::fill(&a, &b, &c, &scoring, &RunCtx::default())
+                        .unwrap()
+                        .final_score()
+                })
             });
             let ms = wall.as_secs_f64() * 1e3;
             if p == 1 {

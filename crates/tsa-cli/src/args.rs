@@ -31,8 +31,8 @@ ALIGN OPTIONS:
                          tile-wavefront | hirschberg | par-hirschberg |
                          center-star | carrillo-lipman | banded |
                          anchored | affine                                  [auto]
-    --kernel <k>         SIMD score kernel: auto | scalar | sse2 | avx2
-                         | sse2-i16 | avx2-i16                             [auto]
+    --kernel <k>         SIMD score kernel: auto | scalar | sse2 | avx2 |
+                         sse2-i16 | avx2-i16                                [auto]
                          (bit-identical scores; explicit requests degrade
                          to the widest set the CPU supports)
     --tile <t>           tile edge for blocked/dataflow/tile-wavefront      [16]

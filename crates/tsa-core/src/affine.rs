@@ -275,7 +275,7 @@ pub fn fill_parallel(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> AffineLatt
     let grid: SharedGrid<i32> = SharedGrid::new(e.cells() * NUM_STATES, NEG_INF);
     // SAFETY: one invocation per plane cell writes that cell's 7 slots;
     // reads target cells on planes d−1..d−3, complete before this plane.
-    tsa_wavefront::executor::run_cells_wavefront(e, |i, j, k| {
+    let cell = |i, j, k| {
         let states = kernel.cell_states(i, j, k, |pi, pj, pk, mp| unsafe {
             grid.get(e.index(pi, pj, pk) * NUM_STATES + mp)
         });
@@ -283,7 +283,9 @@ pub fn fill_parallel(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> AffineLatt
         for (mi, &v) in states.iter().enumerate() {
             unsafe { grid.set(base + mi, v) };
         }
-    });
+    };
+    tsa_wavefront::executor::run_cells_wavefront(e, cell, || false)
+        .expect("sweep without a stop poll");
     AffineLattice {
         scores: grid.into_vec(),
         extents: e,

@@ -2,9 +2,11 @@
 //! configuration, align.
 
 use crate::alignment::Alignment3;
-use crate::cancel::{CancelProgress, CancelToken};
-use crate::checkpoint::{CheckpointConfig, DurableStop, FrontierSnapshot, KernelKind, ResumeError};
+use crate::cancel::CancelProgress;
+use crate::checkpoint::{KernelKind, ResumeError};
+use crate::full::{traceback, Lattice};
 use crate::kernel::SimdKernel;
+use crate::run::RunCtx;
 use crate::{
     affine, anchored, banded3, blocked, carrillo_lipman, center_star, full, hirschberg3,
     score_only, tiled, wavefront,
@@ -109,7 +111,8 @@ impl Algorithm {
     }
 }
 
-/// Configuration or input errors reported by [`Aligner::align3`].
+/// Why a run produced no result: a configuration or input error found
+/// before any work, or a stop requested through the run's [`RunCtx`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AlignError {
     /// The chosen algorithm needs a linear gap model but the scoring is
@@ -124,9 +127,17 @@ pub enum AlignError {
     },
     /// Tile edge or thread count of zero.
     BadParameter(&'static str),
-    /// A [`CancelToken`] fired mid-kernel (only the `*_cancellable` entry
-    /// points report this); carries the progress made before stopping.
+    /// The run's [`crate::CancelToken`] fired (explicit cancel or
+    /// deadline); only runs whose context carries a token report this.
+    /// Carries the progress made before stopping.
     Cancelled(CancelProgress),
+    /// The checkpoint drain flag fired; a final snapshot was stored
+    /// before stopping.
+    Drained(CancelProgress),
+    /// The offered resume snapshot failed validation; nothing ran.
+    InvalidResume(ResumeError),
+    /// The checkpoint sink failed to persist a snapshot (e.g. disk full).
+    Sink(String),
 }
 
 impl fmt::Display for AlignError {
@@ -147,6 +158,13 @@ impl fmt::Display for AlignError {
                 "cancelled mid-kernel after {}/{} cell updates",
                 p.cells_done, p.cells_total
             ),
+            AlignError::Drained(p) => write!(
+                f,
+                "drained (snapshot stored) after {}/{} cell updates",
+                p.cells_done, p.cells_total
+            ),
+            AlignError::InvalidResume(e) => write!(f, "invalid resume snapshot: {e}"),
+            AlignError::Sink(e) => write!(f, "checkpoint sink failed: {e}"),
         }
     }
 }
@@ -227,8 +245,10 @@ impl Aligner {
         self
     }
 
-    /// Select the SIMD kernel for the score-only inner loops (the
-    /// `kernel={scalar,auto,sse2,avx2}` knob). Every choice produces
+    /// Select the SIMD kernel for the score rows (the
+    /// `kernel={auto,scalar,sse2,avx2,sse2-i16,avx2-i16}` knob). It drives
+    /// every rolling sweep, including the faces of `Hirschberg` and
+    /// `ParallelHirschberg` alignments. Every choice produces
     /// bit-identical scores; requests the CPU cannot honor degrade to the
     /// widest supported subset (see [`SimdKernel::resolve`]).
     pub fn kernel(mut self, kernel: SimdKernel) -> Self {
@@ -257,13 +277,6 @@ impl Aligner {
         }
     }
 
-    fn check_linear(&self) -> Result<(), AlignError> {
-        if self.scoring.gap.linear_penalty().is_none() {
-            return Err(AlignError::AffineGapNeedsAffineAlgorithm);
-        }
-        Ok(())
-    }
-
     fn check_lattice(&self, n1: usize, n2: usize, n3: usize) -> Result<(), AlignError> {
         let required = lattice_bytes(n1, n2, n3);
         if required > self.max_lattice_bytes {
@@ -277,173 +290,21 @@ impl Aligner {
 
     /// Align three sequences, producing a full [`Alignment3`].
     pub fn align3(&self, a: &Seq, b: &Seq, c: &Seq) -> Result<Alignment3, AlignError> {
-        let s = &self.scoring;
-        match self.resolve(a.len(), b.len(), c.len()) {
-            Algorithm::Auto => unreachable!("resolve() never returns Auto"),
-            Algorithm::FullDp => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                Ok(full::align(a, b, c, s))
-            }
-            Algorithm::Wavefront => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                Ok(wavefront::align(a, b, c, s))
-            }
-            Algorithm::Blocked { tile } => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                if tile == 0 {
-                    return Err(AlignError::BadParameter("tile must be ≥ 1"));
-                }
-                Ok(blocked::align(a, b, c, s, tile))
-            }
-            Algorithm::BlockedDataflow { tile, threads } => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                if tile == 0 {
-                    return Err(AlignError::BadParameter("tile must be ≥ 1"));
-                }
-                if threads == 0 {
-                    return Err(AlignError::BadParameter("threads must be ≥ 1"));
-                }
-                Ok(blocked::align_dataflow(a, b, c, s, tile, threads))
-            }
-            Algorithm::TileWavefront { tile } => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                if tile == 0 {
-                    return Err(AlignError::BadParameter("tile must be ≥ 1"));
-                }
-                // Traceback needs per-cell moves; the blocked tiling
-                // produces the identical canonical alignment.
-                Ok(blocked::align(a, b, c, s, tile))
-            }
-            Algorithm::Hirschberg => {
-                self.check_linear()?;
-                Ok(hirschberg3::align(a, b, c, s))
-            }
-            Algorithm::ParallelHirschberg => {
-                self.check_linear()?;
-                Ok(hirschberg3::align_parallel(a, b, c, s))
-            }
-            Algorithm::CenterStar => {
-                self.check_linear()?;
-                Ok(center_star::align(a, b, c, s).alignment)
-            }
-            Algorithm::CarrilloLipman => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                Ok(carrillo_lipman::align(a, b, c, s))
-            }
-            Algorithm::BandedAdaptive => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                Ok(banded3::align_adaptive(a, b, c, s))
-            }
-            Algorithm::Anchored => {
-                self.check_linear()?;
-                Ok(anchored::align(
-                    a,
-                    b,
-                    c,
-                    s,
-                    &anchored::AnchorConfig::default(),
-                ))
-            }
-            Algorithm::AffineDp => Ok(affine::align(a, b, c, s)),
-        }
+        let (_, aln) = self.run(a, b, c, Task::Align, &RunCtx::default())?;
+        Ok(aln.expect("an align run yields an alignment"))
     }
 
-    /// Like [`Aligner::align3`], but cooperatively cancellable: the full,
-    /// wavefront, and Hirschberg kernels poll `cancel` once per `i`-slab /
-    /// anti-diagonal plane and abort with [`AlignError::Cancelled`]
-    /// (carrying partial-progress stats) within one plane of it firing.
-    /// Algorithms without an instrumented kernel only check the token
-    /// before starting.
-    pub fn align3_cancellable(
-        &self,
-        a: &Seq,
-        b: &Seq,
-        c: &Seq,
-        cancel: &CancelToken,
-    ) -> Result<Alignment3, AlignError> {
-        let s = &self.scoring;
-        match self.resolve(a.len(), b.len(), c.len()) {
-            Algorithm::FullDp => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                full::align_cancellable(a, b, c, s, cancel).map_err(AlignError::Cancelled)
-            }
-            Algorithm::Wavefront => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                wavefront::align_cancellable(a, b, c, s, cancel).map_err(AlignError::Cancelled)
-            }
-            Algorithm::Hirschberg => {
-                self.check_linear()?;
-                hirschberg3::align_cancellable(a, b, c, s, cancel).map_err(AlignError::Cancelled)
-            }
-            Algorithm::ParallelHirschberg => {
-                self.check_linear()?;
-                hirschberg3::align_parallel_cancellable(a, b, c, s, cancel)
-                    .map_err(AlignError::Cancelled)
-            }
-            _ => {
-                if cancel.should_stop() {
-                    return Err(AlignError::Cancelled(CancelProgress::default()));
-                }
-                self.align3(a, b, c)
-            }
-        }
+    /// Compute only the optimal score — uses the quadratic-space passes
+    /// where the algorithm permits.
+    pub fn score3(&self, a: &Seq, b: &Seq, c: &Seq) -> Result<i32, AlignError> {
+        Ok(self.run(a, b, c, Task::Score, &RunCtx::default())?.0)
     }
 
-    /// Like [`Aligner::score3`], but cooperatively cancellable (see
-    /// [`Aligner::align3_cancellable`] for the checkpoint granularity).
-    pub fn score3_cancellable(
-        &self,
-        a: &Seq,
-        b: &Seq,
-        c: &Seq,
-        cancel: &CancelToken,
-    ) -> Result<i32, AlignError> {
-        let s = &self.scoring;
-        match self.resolve(a.len(), b.len(), c.len()) {
-            Algorithm::FullDp | Algorithm::Hirschberg => {
-                self.check_linear()?;
-                score_only::score_slabs_cancellable_with(a, b, c, s, cancel, self.kernel)
-                    .map_err(AlignError::Cancelled)
-            }
-            Algorithm::Wavefront | Algorithm::ParallelHirschberg => {
-                self.check_linear()?;
-                score_only::score_planes_parallel_cancellable_with(a, b, c, s, cancel, self.kernel)
-                    .map_err(AlignError::Cancelled)
-            }
-            Algorithm::TileWavefront { tile } => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                if tile == 0 {
-                    return Err(AlignError::BadParameter("tile must be ≥ 1"));
-                }
-                tiled::score_tiles_cancellable_with(a, b, c, s, tile, cancel, self.kernel)
-                    .map_err(AlignError::Cancelled)
-            }
-            Algorithm::AffineDp => {
-                if cancel.should_stop() {
-                    return Err(AlignError::Cancelled(CancelProgress::default()));
-                }
-                Ok(affine::align_score(a, b, c, s))
-            }
-            // The remaining variants have no cheaper score-only path.
-            _ => Ok(self.align3_cancellable(a, b, c, cancel)?.score),
-        }
-    }
-
-    /// The checkpointable kernel the resolved algorithm's score path maps
+    /// The checkpointable sweep the resolved algorithm's score path maps
     /// to, if any: the slab-rolling sweep for `FullDp`/`Hirschberg`, the
-    /// plane-rolling sweep for `Wavefront`/`ParallelHirschberg`. `None`
-    /// means [`Aligner::score3_durable`] cannot checkpoint or resume for
-    /// these lengths.
+    /// plane-rolling sweep for `Wavefront`/`ParallelHirschberg`, and — on
+    /// a durable run only — for `TileWavefront`. `None` means a durable
+    /// [`Task::Score`] run cannot checkpoint or resume for these lengths.
     pub fn durable_kind(&self, n1: usize, n2: usize, n3: usize) -> Option<KernelKind> {
         match self.resolve(n1, n2, n3) {
             Algorithm::FullDp | Algorithm::Hirschberg => Some(KernelKind::Slabs),
@@ -454,110 +315,143 @@ impl Aligner {
         }
     }
 
-    /// Like [`Aligner::score3_cancellable`], plus durability: the rolling
-    /// score kernels periodically persist their frontier through `ckpt`
-    /// and, when `resume` carries a fingerprint-matching snapshot,
-    /// continue the sweep instead of starting over — with a score
-    /// bit-identical to an uninterrupted run. Algorithms without a
-    /// checkpointable score kernel (see [`Aligner::durable_kind`]) run
-    /// their cancellable path and reject any offered snapshot.
-    pub fn score3_durable(
+    /// Run `task` under `ctx` — the one dispatch behind every entry point.
+    /// Returns the optimal score and, for [`Task::Align`], the alignment.
+    ///
+    /// `ctx` supplies the cancel token and the checkpoint config; the SIMD
+    /// kernel is always this aligner's [`Aligner::kernel`] setting. The
+    /// configuration is validated once, before any work: a linear gap
+    /// model unless the plan is `AffineDp`, the lattice budget for plans
+    /// that allocate a full lattice, and tile and thread counts ≥ 1.
+    ///
+    /// The rolling sweeps, the full and wavefront fills, the tile sweep
+    /// and the Hirschberg recursions poll the token once per slab, plane
+    /// or tile row; the other algorithms check it once before starting.
+    /// A durable `ctx` checkpoints the score sweeps named by
+    /// [`Aligner::durable_kind`] (a durable `TileWavefront` score runs the
+    /// plane sweep so its snapshots stay interchangeable with `Wavefront`
+    /// runs); every other plan runs without checkpoints and rejects an
+    /// offered snapshot.
+    pub fn run(
         &self,
         a: &Seq,
         b: &Seq,
         c: &Seq,
-        cancel: &CancelToken,
-        ckpt: &CheckpointConfig<'_>,
-        resume: Option<&FrontierSnapshot>,
-    ) -> Result<i32, DurableStop> {
+        task: Task,
+        ctx: &RunCtx<'_>,
+    ) -> Result<(i32, Option<Alignment3>), AlignError> {
         let s = &self.scoring;
-        match self.resolve(a.len(), b.len(), c.len()) {
-            Algorithm::FullDp | Algorithm::Hirschberg => {
-                self.check_linear().map_err(DurableStop::Config)?;
-                score_only::score_slabs_durable_with(a, b, c, s, cancel, ckpt, resume, self.kernel)
-            }
-            // Tile-wavefront checkpoints through the plane-rolling sweep:
-            // its durable path keeps the plane-boundary frontier format so
-            // snapshots stay interchangeable with `Wavefront` runs.
-            Algorithm::Wavefront
-            | Algorithm::ParallelHirschberg
-            | Algorithm::TileWavefront { .. } => {
-                self.check_linear().map_err(DurableStop::Config)?;
-                score_only::score_planes_parallel_durable_with(
-                    a,
-                    b,
-                    c,
-                    s,
-                    cancel,
-                    ckpt,
-                    resume,
-                    self.kernel,
-                )
-            }
-            _ => {
-                if let Some(snap) = resume {
-                    return Err(DurableStop::InvalidResume(ResumeError::Kind {
-                        expected: 0,
-                        found: snap.kind,
-                    }));
-                }
-                self.score3_cancellable(a, b, c, cancel)
-                    .map_err(|e| match e {
-                        AlignError::Cancelled(p) => DurableStop::Cancelled(p),
-                        other => DurableStop::Config(other),
-                    })
+        let ctx = &RunCtx {
+            kernel: self.kernel,
+            ..*ctx
+        };
+        let (n1, n2, n3) = (a.len(), b.len(), c.len());
+        let score_only = task == Task::Score;
+        if let Some(snap) = ctx.resume_snapshot() {
+            if !score_only || self.durable_kind(n1, n2, n3).is_none() {
+                return Err(AlignError::InvalidResume(ResumeError::Kind {
+                    expected: 0,
+                    found: snap.kind,
+                }));
             }
         }
-    }
-
-    /// Validate `snapshot` against this configuration and continue the
-    /// interrupted sweep to completion (the durability entry point used by
-    /// the batch service on restart). Equivalent to
-    /// [`Aligner::score3_durable`] with `resume` set.
-    pub fn resume_from(
-        &self,
-        a: &Seq,
-        b: &Seq,
-        c: &Seq,
-        snapshot: &FrontierSnapshot,
-        cancel: &CancelToken,
-        ckpt: &CheckpointConfig<'_>,
-    ) -> Result<i32, DurableStop> {
-        self.score3_durable(a, b, c, cancel, ckpt, Some(snapshot))
-    }
-
-    /// Compute only the optimal score — uses the quadratic-space passes
-    /// where the algorithm permits.
-    pub fn score3(&self, a: &Seq, b: &Seq, c: &Seq) -> Result<i32, AlignError> {
-        let s = &self.scoring;
-        match self.resolve(a.len(), b.len(), c.len()) {
-            Algorithm::FullDp | Algorithm::Hirschberg => {
-                self.check_linear()?;
-                Ok(score_only::score_slabs_with(a, b, c, s, self.kernel))
-            }
-            Algorithm::Wavefront | Algorithm::ParallelHirschberg => {
-                self.check_linear()?;
-                Ok(score_only::score_planes_parallel_with(
-                    a,
-                    b,
-                    c,
-                    s,
-                    self.kernel,
-                ))
-            }
-            Algorithm::TileWavefront { tile } => {
-                self.check_linear()?;
-                self.check_lattice(a.len(), b.len(), c.len())?;
-                if tile == 0 {
-                    return Err(AlignError::BadParameter("tile must be ≥ 1"));
-                }
-                Ok(tiled::score_tiles_with(a, b, c, s, tile, self.kernel))
-            }
-            Algorithm::AffineDp => Ok(affine::align_score(a, b, c, s)),
-            // The remaining variants have no cheaper score-only path.
-            _ => Ok(self.align3(a, b, c)?.score),
+        let algorithm = self.resolve(n1, n2, n3);
+        if algorithm != Algorithm::AffineDp && s.gap.linear_penalty().is_none() {
+            return Err(AlignError::AffineGapNeedsAffineAlgorithm);
         }
+        let lattice = || self.check_lattice(n1, n2, n3);
+        let positive = |v: usize, what: &'static str| match v {
+            0 => Err(AlignError::BadParameter(what)),
+            _ => Ok(()),
+        };
+        let start = || ctx.poll(CancelProgress::default());
+        let aligned = |aln: Alignment3| (aln.score, Some(aln));
+        let traced = |lat: Lattice| aligned(traceback(&lat, a, b, c, s));
+        let scored = |score: i32| (score, None);
+        let (score, alignment) = match algorithm {
+            Algorithm::Auto => unreachable!("resolve() never returns Auto"),
+            Algorithm::FullDp | Algorithm::Hirschberg if score_only => {
+                score_only::score(a, b, c, s, KernelKind::Slabs, ctx).map(scored)
+            }
+            Algorithm::Wavefront | Algorithm::ParallelHirschberg if score_only => {
+                score_only::score(a, b, c, s, KernelKind::Planes, ctx).map(scored)
+            }
+            Algorithm::TileWavefront { tile } if score_only && ctx.durable.is_some() => {
+                positive(tile, "tile must be ≥ 1")?;
+                score_only::score(a, b, c, s, KernelKind::Planes, ctx).map(scored)
+            }
+            Algorithm::TileWavefront { tile } if score_only => {
+                lattice()?;
+                positive(tile, "tile must be ≥ 1")?;
+                tiled::score(a, b, c, s, tile, ctx).map(scored)
+            }
+            Algorithm::FullDp => {
+                lattice()?;
+                full::fill(a, b, c, s, ctx).map(traced)
+            }
+            Algorithm::Wavefront => {
+                lattice()?;
+                wavefront::fill(a, b, c, s, ctx).map(traced)
+            }
+            // Traceback needs per-cell moves; for tile-wavefront the
+            // blocked tiling produces the identical canonical alignment.
+            Algorithm::Blocked { tile } | Algorithm::TileWavefront { tile } => {
+                lattice()?;
+                positive(tile, "tile must be ≥ 1")?;
+                start()?;
+                Ok(aligned(blocked::align(a, b, c, s, tile)))
+            }
+            Algorithm::BlockedDataflow { tile, threads } => {
+                lattice()?;
+                positive(tile, "tile must be ≥ 1")?;
+                positive(threads, "threads must be ≥ 1")?;
+                start()?;
+                Ok(aligned(blocked::align_dataflow(a, b, c, s, tile, threads)))
+            }
+            Algorithm::Hirschberg => hirschberg3::solve(a, b, c, s, false, ctx).map(aligned),
+            Algorithm::ParallelHirschberg => hirschberg3::solve(a, b, c, s, true, ctx).map(aligned),
+            Algorithm::CenterStar => {
+                start()?;
+                Ok(aligned(center_star::align(a, b, c, s).alignment))
+            }
+            Algorithm::CarrilloLipman => {
+                lattice()?;
+                start()?;
+                Ok(aligned(carrillo_lipman::align(a, b, c, s)))
+            }
+            Algorithm::BandedAdaptive => {
+                lattice()?;
+                start()?;
+                Ok(aligned(banded3::align_adaptive(a, b, c, s)))
+            }
+            Algorithm::Anchored => {
+                start()?;
+                let config = anchored::AnchorConfig::default();
+                Ok(aligned(anchored::align(a, b, c, s, &config)))
+            }
+            Algorithm::AffineDp if score_only => {
+                start()?;
+                Ok(scored(affine::align_score(a, b, c, s)))
+            }
+            Algorithm::AffineDp => {
+                start()?;
+                Ok(aligned(affine::align(a, b, c, s)))
+            }
+        }?;
+        // Plans without a score-only pass ran the alignment; a score task
+        // still returns only the score.
+        Ok((score, alignment.filter(|_| !score_only)))
     }
+}
+
+/// What [`Aligner::run`] computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Task {
+    /// An optimal alignment (and its score).
+    Align,
+    /// Only the optimal score, through the quadratic-space passes where
+    /// the algorithm has them.
+    Score,
 }
 
 /// Bytes a full `i32` lattice for these lengths needs.
@@ -568,8 +462,139 @@ pub fn lattice_bytes(n1: usize, n2: usize, n3: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
+    use crate::checkpoint::{CheckpointConfig, CheckpointSink, FrontierSnapshot, MemorySink};
     use crate::test_util::family_triple;
     use tsa_scoring::GapModel;
+
+    const ALL: [Algorithm; 13] = [
+        Algorithm::Auto,
+        Algorithm::FullDp,
+        Algorithm::Wavefront,
+        Algorithm::Blocked { tile: 4 },
+        Algorithm::BlockedDataflow {
+            tile: 4,
+            threads: 2,
+        },
+        Algorithm::TileWavefront { tile: 4 },
+        Algorithm::Hirschberg,
+        Algorithm::ParallelHirschberg,
+        Algorithm::CenterStar,
+        Algorithm::CarrilloLipman,
+        Algorithm::BandedAdaptive,
+        Algorithm::Anchored,
+        Algorithm::AffineDp,
+    ];
+
+    /// How a test drives a task: the plain `align3`/`score3` entry points,
+    /// a run with a (never-firing) cancel token, or a durable run.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Mode {
+        Plain,
+        Cancel,
+        Durable,
+    }
+
+    type Run = Result<(i32, Option<Alignment3>), AlignError>;
+
+    fn run_in(al: &Aligner, a: &Seq, b: &Seq, c: &Seq, task: Task, mode: Mode) -> Run {
+        let token = CancelToken::never();
+        let sink = MemorySink::new();
+        let ckpt = CheckpointConfig::new(&sink).every_planes(2);
+        let ctx = match mode {
+            Mode::Plain => {
+                return match task {
+                    Task::Align => al.align3(a, b, c).map(|aln| (aln.score, Some(aln))),
+                    Task::Score => al.score3(a, b, c).map(|score| (score, None)),
+                }
+            }
+            Mode::Cancel => RunCtx::default().cancel(&token),
+            Mode::Durable => RunCtx::default().cancel(&token).durable(&ckpt, None),
+        };
+        al.run(a, b, c, task, &ctx)
+    }
+
+    fn outcome(r: &Run) -> &'static str {
+        match r {
+            Ok(_) => "Ok",
+            Err(AlignError::AffineGapNeedsAffineAlgorithm) => "AffineGapNeedsAffineAlgorithm",
+            Err(AlignError::LatticeTooLarge { .. }) => "LatticeTooLarge",
+            Err(AlignError::BadParameter(_)) => "BadParameter",
+            Err(e) => panic!("unexpected stop: {e}"),
+        }
+    }
+
+    fn with_tile(alg: Algorithm, tile: usize) -> Algorithm {
+        match alg {
+            Algorithm::Blocked { .. } => Algorithm::Blocked { tile },
+            Algorithm::BlockedDataflow { threads, .. } => {
+                Algorithm::BlockedDataflow { tile, threads }
+            }
+            Algorithm::TileWavefront { .. } => Algorithm::TileWavefront { tile },
+            other => other,
+        }
+    }
+
+    fn with_threads(alg: Algorithm, threads: usize) -> Algorithm {
+        match alg {
+            Algorithm::BlockedDataflow { tile, .. } => Algorithm::BlockedDataflow { tile, threads },
+            other => other,
+        }
+    }
+
+    /// Every algorithm × task × mode must accept or refuse a bad
+    /// configuration alike: the plain, cancellable and durable runs share
+    /// one validation.
+    #[test]
+    fn every_mode_validates_alike() {
+        let (a, b, c) = family_triple(19, 8);
+        type Configure = fn(Algorithm) -> Aligner;
+        let conditions: [(&str, Configure); 4] = [
+            ("tile 0", |alg| Aligner::new().algorithm(with_tile(alg, 0))),
+            ("threads 0", |alg| {
+                Aligner::new().algorithm(with_threads(alg, 0))
+            }),
+            ("affine gaps", |alg| {
+                Aligner::new().algorithm(alg).gap(GapModel::affine(-4, -1))
+            }),
+            ("lattice over budget", |alg| {
+                Aligner::new().algorithm(alg).max_lattice_bytes(64)
+            }),
+        ];
+        for (condition, configure) in conditions {
+            let mut refused = 0;
+            for alg in ALL {
+                let al = configure(alg);
+                for task in [Task::Align, Task::Score] {
+                    let plain = outcome(&run_in(&al, &a, &b, &c, task, Mode::Plain));
+                    refused += usize::from(plain != "Ok");
+                    for mode in [Mode::Cancel, Mode::Durable] {
+                        // The one intended difference: a durable
+                        // tile-wavefront score runs the O(n²) plane sweep
+                        // (its snapshots stay interchangeable with
+                        // `Wavefront` runs), so it allocates no lattice and
+                        // the lattice budget does not refuse it.
+                        let want = if condition == "lattice over budget"
+                            && task == Task::Score
+                            && mode == Mode::Durable
+                            && matches!(alg, Algorithm::TileWavefront { .. })
+                        {
+                            "Ok"
+                        } else {
+                            plain
+                        };
+                        let got = outcome(&run_in(&al, &a, &b, &c, task, mode));
+                        let configured = al.algorithm;
+                        assert_eq!(got, want, "{condition}: {configured:?} {task:?} {mode:?}");
+                    }
+                }
+            }
+            assert!(
+                refused > 0,
+                "{condition} refused nothing: the row is vacuous"
+            );
+        }
+    }
 
     #[test]
     fn all_exact_algorithms_agree() {
@@ -764,28 +789,21 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_entry_points_match_plain_when_unfired() {
+    fn cancellable_and_durable_runs_match_plain_when_unfired() {
         let (a, b, c) = family_triple(12, 16);
-        let token = CancelToken::never();
-        for alg in [
-            Algorithm::FullDp,
-            Algorithm::Wavefront,
-            Algorithm::Hirschberg,
-            Algorithm::ParallelHirschberg,
-            Algorithm::Blocked { tile: 4 },
-            Algorithm::TileWavefront { tile: 4 },
-        ] {
+        for alg in ALL {
             let al = Aligner::new().algorithm(alg);
-            assert_eq!(
-                al.align3_cancellable(&a, &b, &c, &token).unwrap().score,
-                al.align3(&a, &b, &c).unwrap().score,
-                "{alg:?}"
-            );
-            assert_eq!(
-                al.score3_cancellable(&a, &b, &c, &token).unwrap(),
-                al.score3(&a, &b, &c).unwrap(),
-                "{alg:?}"
-            );
+            for task in [Task::Align, Task::Score] {
+                let plain = run_in(&al, &a, &b, &c, task, Mode::Plain).unwrap();
+                assert_eq!(plain.1.is_some(), task == Task::Align, "{alg:?} {task:?}");
+                for mode in [Mode::Cancel, Mode::Durable] {
+                    assert_eq!(
+                        run_in(&al, &a, &b, &c, task, mode).unwrap(),
+                        plain,
+                        "{alg:?} {task:?} {mode:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -794,55 +812,18 @@ mod tests {
         let (a, b, c) = family_triple(13, 16);
         let token = CancelToken::never();
         token.cancel();
-        for alg in [
-            Algorithm::FullDp,
-            Algorithm::Wavefront,
-            Algorithm::Hirschberg,
-            Algorithm::ParallelHirschberg,
-            Algorithm::Blocked { tile: 4 },
-            Algorithm::TileWavefront { tile: 4 },
-            Algorithm::AffineDp,
-        ] {
+        let ctx = RunCtx::default().cancel(&token);
+        for alg in ALL {
             let al = Aligner::new().algorithm(alg);
-            assert!(
-                matches!(
-                    al.align3_cancellable(&a, &b, &c, &token),
-                    Err(AlignError::Cancelled(_))
-                ),
-                "{alg:?}"
-            );
-            assert!(
-                matches!(
-                    al.score3_cancellable(&a, &b, &c, &token),
-                    Err(AlignError::Cancelled(_))
-                ),
-                "{alg:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn durable_score_matches_plain_for_every_kernel() {
-        use crate::checkpoint::{CheckpointConfig, MemorySink};
-        let (a, b, c) = family_triple(17, 18);
-        let token = CancelToken::never();
-        for alg in [
-            Algorithm::FullDp,
-            Algorithm::Hirschberg,
-            Algorithm::Wavefront,
-            Algorithm::ParallelHirschberg,
-            Algorithm::AffineDp,
-            Algorithm::Blocked { tile: 4 },
-            Algorithm::TileWavefront { tile: 4 },
-        ] {
-            let al = Aligner::new().algorithm(alg);
-            let sink = MemorySink::new();
-            let ckpt = CheckpointConfig::new(&sink).every_planes(2);
-            assert_eq!(
-                al.score3_durable(&a, &b, &c, &token, &ckpt, None).unwrap(),
-                al.score3(&a, &b, &c).unwrap(),
-                "{alg:?}"
-            );
+            for task in [Task::Align, Task::Score] {
+                assert!(
+                    matches!(
+                        al.run(&a, &b, &c, task, &ctx),
+                        Err(AlignError::Cancelled(_))
+                    ),
+                    "{alg:?} {task:?}"
+                );
+            }
         }
     }
 
@@ -878,12 +859,10 @@ mod tests {
     }
 
     #[test]
-    fn resume_from_continues_a_drained_sweep() {
-        use crate::checkpoint::{CheckpointConfig, DurableStop, MemorySink};
+    fn durable_run_resumes_a_drained_sweep() {
         use std::sync::atomic::{AtomicBool, Ordering};
         let (a, b, c) = family_triple(23, 20);
         let al = Aligner::new().algorithm(Algorithm::Wavefront);
-        let token = CancelToken::never();
         let sink = MemorySink::new();
         let drain = AtomicBool::new(false);
         let ckpt = CheckpointConfig::new(&sink)
@@ -896,8 +875,8 @@ mod tests {
             inner: &'a MemorySink,
             drain: &'a AtomicBool,
         }
-        impl crate::checkpoint::CheckpointSink for FireAfter<'_> {
-            fn store(&self, s: &crate::checkpoint::FrontierSnapshot) -> std::io::Result<()> {
+        impl CheckpointSink for FireAfter<'_> {
+            fn store(&self, s: &FrontierSnapshot) -> std::io::Result<()> {
                 self.inner.store(s)?;
                 self.drain.store(true, Ordering::Relaxed);
                 Ok(())
@@ -912,24 +891,22 @@ mod tests {
             policy: ckpt.policy,
             drain: Some(&drain),
         };
-        let stop = al
-            .score3_durable(&a, &b, &c, &token, &interrupting, None)
-            .unwrap_err();
-        assert!(matches!(stop, DurableStop::Drained(_)));
+        let ctx = RunCtx::default().durable(&interrupting, None);
+        let stop = al.run(&a, &b, &c, Task::Score, &ctx).unwrap_err();
+        assert!(matches!(stop, AlignError::Drained(_)));
 
         let snap = sink.last().expect("snapshot stored");
         drain.store(false, Ordering::Relaxed);
-        let resumed = al.resume_from(&a, &b, &c, &snap, &token, &ckpt).unwrap();
+        let ctx = RunCtx::default().durable(&ckpt, Some(&snap));
+        let (resumed, _) = al.run(&a, &b, &c, Task::Score, &ctx).unwrap();
         assert_eq!(resumed, al.score3(&a, &b, &c).unwrap());
     }
 
     #[test]
-    fn non_durable_algorithm_rejects_snapshots() {
-        use crate::checkpoint::{CheckpointConfig, DurableStop, FrontierSnapshot, MemorySink};
+    fn non_durable_plans_reject_snapshots() {
         let (a, b, c) = family_triple(29, 10);
         let sink = MemorySink::new();
         let ckpt = CheckpointConfig::new(&sink);
-        let token = CancelToken::never();
         let snap = FrontierSnapshot {
             fingerprint: 1,
             kind: 2,
@@ -937,11 +914,13 @@ mod tests {
             cells_done: 0,
             buffers: vec![],
         };
-        let err = Aligner::new()
-            .algorithm(Algorithm::CenterStar)
-            .score3_durable(&a, &b, &c, &token, &ckpt, Some(&snap))
-            .unwrap_err();
-        assert!(matches!(err, DurableStop::InvalidResume(_)));
+        let ctx = RunCtx::default().durable(&ckpt, Some(&snap));
+        let center_star = Aligner::new().algorithm(Algorithm::CenterStar);
+        let wavefront = Aligner::new().algorithm(Algorithm::Wavefront);
+        for (al, task) in [(&center_star, Task::Score), (&wavefront, Task::Align)] {
+            let err = al.run(&a, &b, &c, task, &ctx).unwrap_err();
+            assert!(matches!(err, AlignError::InvalidResume(_)), "{task:?}");
+        }
     }
 
     #[test]

@@ -66,9 +66,8 @@ pub fn fill_barrier(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring, tile: usize) -
     let e = Extents::new(n1, n2, n3);
     let tg = TileGrid::new(e, tile);
     let grid: SharedGrid<i32> = SharedGrid::new(e.cells(), NEG_INF);
-    run_tiles_wavefront(&tg, |ti, tj, tk| {
-        tile_kernel(&kernel, e, &grid, &tg, ti, tj, tk);
-    });
+    let tile = |ti, tj, tk| tile_kernel(&kernel, e, &grid, &tg, ti, tj, tk);
+    run_tiles_wavefront(&tg, tile, || false).expect("sweep without a stop poll");
     Lattice {
         scores: grid.into_vec(),
         extents: e,
@@ -143,6 +142,7 @@ pub fn align_score(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring, tile: usize) ->
 mod tests {
     use super::*;
     use crate::full;
+    use crate::run::RunCtx;
     use crate::test_util::{family_triple, random_triple};
 
     fn s() -> Scoring {
@@ -153,7 +153,7 @@ mod tests {
     fn barrier_lattice_is_bit_identical_to_sequential() {
         for seed in 0..8 {
             let (a, b, c) = random_triple(seed, 14);
-            let seq_lat = full::fill(&a, &b, &c, &s());
+            let seq_lat = full::fill(&a, &b, &c, &s(), &RunCtx::default()).unwrap();
             for tile in [1, 3, 4, 64] {
                 let lat = fill_barrier(&a, &b, &c, &s(), tile);
                 assert_eq!(seq_lat.scores, lat.scores, "seed {seed} tile {tile}");
@@ -165,7 +165,7 @@ mod tests {
     fn dataflow_lattice_is_bit_identical_to_sequential() {
         for seed in 0..8 {
             let (a, b, c) = random_triple(seed + 60, 14);
-            let seq_lat = full::fill(&a, &b, &c, &s());
+            let seq_lat = full::fill(&a, &b, &c, &s(), &RunCtx::default()).unwrap();
             for (tile, threads) in [(4, 1), (4, 4), (8, 3)] {
                 let lat = fill_dataflow(&a, &b, &c, &s(), tile, threads);
                 assert_eq!(

@@ -145,7 +145,7 @@ pub fn fill_pruned_parallel(
     let grid: SharedGrid<i32> = SharedGrid::new(e.cells(), NEG_INF);
     let visited = AtomicUsize::new(0);
     // SAFETY: one invocation per plane cell; reads go to earlier planes.
-    run_cells_wavefront(e, |i, j, k| {
+    let cell = |i, j, k| {
         let ub = t_ab.at(i, j) + t_ac.at(i, k) + t_bc.at(j, k);
         if ub < lower_bound {
             return; // stays NEG_INF
@@ -155,7 +155,8 @@ pub fn fill_pruned_parallel(
             grid.get(e.index(pi, pj, pk))
         });
         unsafe { grid.set(e.index(i, j, k), v) };
-    });
+    };
+    run_cells_wavefront(e, cell, || false).expect("sweep without a stop poll");
     PrunedLattice {
         lattice: Lattice {
             scores: grid.into_vec(),

@@ -14,14 +14,16 @@
 //! * [`CheckpointPolicy`] — how often (every N planes and/or every T);
 //! * [`CheckpointConfig`] — sink + policy + an optional *drain* flag: when
 //!   the flag fires, the kernel writes one final snapshot and stops with
-//!   [`DurableStop::Drained`] instead of throwing work away;
+//!   [`AlignError::Drained`] instead of throwing work away;
 //! * [`job_fingerprint`] — binds a snapshot to one (sequences, scoring,
 //!   kernel) configuration so a resumed sweep can never continue from the
 //!   wrong job's frontier;
-//! * [`crate::Aligner::resume_from`] — validates and continues.
+//! * [`crate::RunCtx::durable`] — hands a config (and a snapshot to
+//!   continue) to a sweep, which validates the snapshot before resuming.
 
 use crate::aligner::AlignError;
 use crate::cancel::CancelProgress;
+use crate::run::RunCtx;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -33,12 +35,11 @@ pub use tsa_wavefront::snapshot::{FrontierSnapshot, SnapshotError};
 /// Which rolling kernel produced (or may consume) a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Sequential slab-rolling sweep ([`crate::score_only::score_slabs`]):
-    /// the frontier is the previous `i`-slab.
+    /// Sequential slab-rolling sweep: the frontier is the previous
+    /// `i`-slab.
     Slabs,
-    /// Plane-rolling parallel sweep
-    /// ([`crate::score_only::score_planes_parallel`]): the frontier is the
-    /// last three anti-diagonal planes.
+    /// Plane-rolling parallel sweep: the frontier is the last three
+    /// anti-diagonal planes.
     Planes,
 }
 
@@ -213,7 +214,7 @@ pub struct CheckpointConfig<'a> {
     /// Cadence.
     pub policy: CheckpointPolicy,
     /// When set and `true`, the kernel stores a final snapshot at the next
-    /// plane boundary and returns [`DurableStop::Drained`].
+    /// plane boundary and returns [`AlignError::Drained`].
     pub drain: Option<&'a AtomicBool>,
 }
 
@@ -245,20 +246,20 @@ impl<'a> CheckpointConfig<'a> {
         self
     }
 
-    pub(crate) fn drain_requested(&self) -> bool {
+    fn drain_requested(&self) -> bool {
         self.drain.is_some_and(|f| f.load(Ordering::Relaxed))
     }
 }
 
 /// Checkpoint cadence bookkeeping, one per sweep.
-pub(crate) struct Pacer {
+struct Pacer {
     policy: CheckpointPolicy,
     since: usize,
     last: Instant,
 }
 
 impl Pacer {
-    pub(crate) fn new(policy: CheckpointPolicy) -> Self {
+    fn new(policy: CheckpointPolicy) -> Self {
         Pacer {
             policy,
             since: 0,
@@ -268,7 +269,7 @@ impl Pacer {
 
     /// Called once per completed plane/slab; true when a checkpoint is
     /// due. Resets the triggers when it fires.
-    pub(crate) fn due(&mut self) -> bool {
+    fn due(&mut self) -> bool {
         self.since += 1;
         let count_due = self.policy.every_planes > 0 && self.since >= self.policy.every_planes;
         let time_due = self.policy.every.is_some_and(|t| self.last.elapsed() >= t);
@@ -279,6 +280,108 @@ impl Pacer {
         } else {
             false
         }
+    }
+}
+
+/// The checkpoint state of one durable sweep: where snapshots go, the
+/// fingerprint they carry, the snapshot being resumed, and the cadence.
+/// A sweep holds `None` instead when its [`RunCtx`] is not durable.
+pub(crate) struct Checkpointer<'a> {
+    config: &'a CheckpointConfig<'a>,
+    resume: Option<&'a FrontierSnapshot>,
+    fingerprint: u64,
+    kind: KernelKind,
+    pacer: Pacer,
+}
+
+impl<'a> Checkpointer<'a> {
+    /// The checkpointer of a `kind` sweep over `(a, b, c)`, or `None` when
+    /// `ctx` does not ask for durability.
+    pub(crate) fn new(
+        ctx: &RunCtx<'a>,
+        a: &Seq,
+        b: &Seq,
+        c: &Seq,
+        scoring: &Scoring,
+        kind: KernelKind,
+    ) -> Option<Self> {
+        let (config, resume) = ctx.durable?;
+        Some(Checkpointer {
+            config,
+            resume,
+            fingerprint: job_fingerprint(a, b, c, scoring, kind),
+            kind,
+            pacer: Pacer::new(config.policy),
+        })
+    }
+
+    /// The snapshot to continue from, once its kind and fingerprint match
+    /// this sweep (the sweep still checks index and shape).
+    pub(crate) fn resume(&self) -> Result<Option<&'a FrontierSnapshot>, AlignError> {
+        let Some(s) = self.resume else {
+            return Ok(None);
+        };
+        if s.kind != self.kind.code() {
+            return Err(AlignError::InvalidResume(ResumeError::Kind {
+                expected: self.kind.code(),
+                found: s.kind,
+            }));
+        }
+        if s.fingerprint != self.fingerprint {
+            return Err(AlignError::InvalidResume(ResumeError::Fingerprint {
+                expected: self.fingerprint,
+                found: s.fingerprint,
+            }));
+        }
+        Ok(Some(s))
+    }
+
+    /// The drain poll, before computing step `next`: when the drain flag
+    /// fired, store the frontier and stop with [`AlignError::Drained`].
+    pub(crate) fn drain(
+        &self,
+        next: usize,
+        progress: CancelProgress,
+        frontier: impl FnOnce() -> Vec<Vec<i32>>,
+    ) -> Result<(), AlignError> {
+        if self.config.drain_requested() {
+            self.store(next, progress.cells_done, frontier())?;
+            return Err(AlignError::Drained(progress));
+        }
+        Ok(())
+    }
+
+    /// Called once per completed step: store the frontier that step
+    /// `next` needs when a checkpoint is due.
+    pub(crate) fn tick(
+        &mut self,
+        next: usize,
+        cells_done: u64,
+        frontier: impl FnOnce() -> Vec<Vec<i32>>,
+    ) -> Result<(), AlignError> {
+        if self.pacer.due() {
+            self.store(next, cells_done, frontier())?;
+        }
+        Ok(())
+    }
+
+    fn store(
+        &self,
+        next: usize,
+        cells_done: u64,
+        buffers: Vec<Vec<i32>>,
+    ) -> Result<(), AlignError> {
+        let snapshot = FrontierSnapshot {
+            fingerprint: self.fingerprint,
+            kind: self.kind.code(),
+            next_index: next as u32,
+            cells_done,
+            buffers,
+        };
+        self.config
+            .sink
+            .store(&snapshot)
+            .map_err(|e| AlignError::Sink(e.to_string()))
     }
 }
 
@@ -323,46 +426,6 @@ impl std::fmt::Display for ResumeError {
 }
 
 impl std::error::Error for ResumeError {}
-
-/// Why a durable sweep stopped without a score.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DurableStop {
-    /// The [`crate::cancel::CancelToken`] fired (explicit cancel or
-    /// deadline).
-    Cancelled(CancelProgress),
-    /// The drain flag fired; a final snapshot was stored before stopping.
-    Drained(CancelProgress),
-    /// The offered snapshot failed validation; nothing ran.
-    InvalidResume(ResumeError),
-    /// The sink failed to persist a snapshot (e.g. disk full).
-    Sink(String),
-    /// Aligner-level configuration error (affine gap with a linear-only
-    /// kernel, oversized lattice, …) — from the dispatching entry points,
-    /// never from the kernels themselves.
-    Config(AlignError),
-}
-
-impl std::fmt::Display for DurableStop {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DurableStop::Cancelled(p) => write!(
-                f,
-                "cancelled after {}/{} cell updates",
-                p.cells_done, p.cells_total
-            ),
-            DurableStop::Drained(p) => write!(
-                f,
-                "drained (snapshot stored) after {}/{} cell updates",
-                p.cells_done, p.cells_total
-            ),
-            DurableStop::InvalidResume(e) => write!(f, "invalid resume snapshot: {e}"),
-            DurableStop::Sink(e) => write!(f, "checkpoint sink failed: {e}"),
-            DurableStop::Config(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for DurableStop {}
 
 #[cfg(test)]
 mod tests {
@@ -538,14 +601,11 @@ mod tests {
             ResumeError::Shape,
         ] {
             assert!(!e.to_string().is_empty());
-            assert!(!DurableStop::InvalidResume(e).to_string().is_empty());
+            assert!(!AlignError::InvalidResume(e).to_string().is_empty());
         }
-        assert!(!DurableStop::Cancelled(CancelProgress::default())
+        assert!(!AlignError::Drained(CancelProgress::default())
             .to_string()
             .is_empty());
-        assert!(!DurableStop::Drained(CancelProgress::default())
-            .to_string()
-            .is_empty());
-        assert!(!DurableStop::Sink("disk full".into()).to_string().is_empty());
+        assert!(!AlignError::Sink("disk full".into()).to_string().is_empty());
     }
 }

@@ -10,9 +10,11 @@
 //! from the score lattice, saving one byte per cell and a write per cell
 //! update.
 
+use crate::aligner::AlignError;
 use crate::alignment::Alignment3;
-use crate::cancel::{CancelProgress, CancelToken};
+use crate::cancel::CancelProgress;
 use crate::dp::{Kernel, NEG_INF};
+use crate::run::{RunCtx, UNSTOPPABLE};
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
 use tsa_wavefront::plane::Extents;
@@ -44,33 +46,16 @@ impl Lattice {
     }
 }
 
-/// Fill the full lattice sequentially.
-pub fn fill(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Lattice {
-    match fill_impl(a, b, c, scoring, None) {
-        Ok(lat) => lat,
-        Err(_) => unreachable!("no token, no cancellation"),
-    }
-}
-
-/// Like [`fill`], but polls `cancel` once per `i`-slab (one check per
-/// `O(n²)` cells); a fired token aborts the sweep with the progress made.
-pub fn fill_cancellable(
+/// Fill the full lattice sequentially, polling `ctx`'s token once per
+/// `i`-slab (one check per `O(n²)` cells); a fired token aborts the sweep
+/// with the progress made.
+pub fn fill(
     a: &Seq,
     b: &Seq,
     c: &Seq,
     scoring: &Scoring,
-    cancel: &CancelToken,
-) -> Result<Lattice, CancelProgress> {
-    fill_impl(a, b, c, scoring, Some(cancel))
-}
-
-fn fill_impl(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: Option<&CancelToken>,
-) -> Result<Lattice, CancelProgress> {
+    ctx: &RunCtx<'_>,
+) -> Result<Lattice, AlignError> {
     let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
     let (n1, n2, n3) = kernel.lens();
     let e = Extents::new(n1, n2, n3);
@@ -80,14 +65,10 @@ fn fill_impl(
     let mut scores = vec![NEG_INF; e.cells()];
 
     for i in 0..=n1 {
-        if let Some(t) = cancel {
-            if t.should_stop() {
-                return Err(CancelProgress {
-                    cells_done: (i * w2 * w3) as u64,
-                    cells_total: e.cells() as u64,
-                });
-            }
-        }
+        ctx.poll(CancelProgress {
+            cells_done: (i * w2 * w3) as u64,
+            cells_total: e.cells() as u64,
+        })?;
         for j in 0..=n2 {
             let base = (i * w2 + j) * w3;
             if i == 0 || j == 0 {
@@ -154,27 +135,17 @@ pub fn traceback(lat: &Lattice, a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) ->
 /// assert_eq!(aln.score, 4 * 6); // four all-match columns
 /// ```
 pub fn align(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Alignment3 {
-    let lat = fill(a, b, c, scoring);
-    traceback(&lat, a, b, c, scoring)
-}
-
-/// Like [`align`], but the fill aborts within one `i`-slab of the token
-/// firing; the (cheap) traceback runs only on a completed lattice.
-pub fn align_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-) -> Result<Alignment3, CancelProgress> {
-    let lat = fill_cancellable(a, b, c, scoring, cancel)?;
-    Ok(traceback(&lat, a, b, c, scoring))
+    traceback(&plain_fill(a, b, c, scoring), a, b, c, scoring)
 }
 
 /// Optimal score only (still materializes the lattice; see
 /// [`crate::score_only`] for the quadratic-space version).
 pub fn align_score(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> i32 {
-    fill(a, b, c, scoring).final_score()
+    plain_fill(a, b, c, scoring).final_score()
+}
+
+fn plain_fill(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Lattice {
+    fill(a, b, c, scoring, &RunCtx::default()).expect(UNSTOPPABLE)
 }
 
 #[cfg(test)]
@@ -291,7 +262,7 @@ mod tests {
     #[test]
     fn boundary_faces_have_correct_values() {
         let (a, b, c) = random_triple(5, 10);
-        let lat = fill(&a, &b, &c, &s());
+        let lat = fill(&a, &b, &c, &s(), &RunCtx::default()).unwrap();
         // Axis edges: D[i][0][0] = i * 2g.
         for i in 0..=a.len() {
             assert_eq!(lat.at(i, 0, 0), -4 * i as i32);
@@ -373,7 +344,7 @@ mod tests {
     #[test]
     fn memory_report() {
         let (a, b, c) = random_triple(1, 8);
-        let lat = fill(&a, &b, &c, &s());
+        let lat = fill(&a, &b, &c, &s(), &RunCtx::default()).unwrap();
         assert_eq!(
             lat.memory_bytes(),
             (a.len() + 1) * (b.len() + 1) * (c.len() + 1) * 4
@@ -381,19 +352,14 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_fill_without_cancel_matches_plain() {
-        let (a, b, c) = random_triple(9, 12);
-        let token = CancelToken::never();
-        let al = align_cancellable(&a, &b, &c, &s(), &token).unwrap();
-        assert_eq!(al, align(&a, &b, &c, &s()));
-    }
-
-    #[test]
     fn pre_cancelled_fill_stops_with_zero_progress() {
         let (a, b, c) = random_triple(10, 12);
-        let token = CancelToken::never();
+        let token = crate::CancelToken::never();
         token.cancel();
-        let p = fill_cancellable(&a, &b, &c, &s(), &token).unwrap_err();
+        let ctx = RunCtx::default().cancel(&token);
+        let Err(AlignError::Cancelled(p)) = fill(&a, &b, &c, &s(), &ctx) else {
+            panic!("a fired token must stop the fill");
+        };
         assert_eq!(p.cells_done, 0);
         assert_eq!(
             p.cells_total,

@@ -9,19 +9,19 @@
 //! two sub-problems; the half-volumes sum geometrically, so total work is
 //! at most ~2× the plain DP (experiment `table4` measures the real ratio).
 //!
-//! [`align_parallel`] additionally (a) computes the two faces with
+//! The parallel variant additionally (a) computes the two faces with
 //! plane-parallel sweeps and (b) runs the two recursive halves as a
-//! `rayon::join`, so parallelism is available at every level.
+//! `rayon::join`, so parallelism is available at every level. Both run
+//! the one recursion of [`solve`].
 
+use crate::aligner::AlignError;
 use crate::alignment::{Alignment3, Column3};
-use crate::cancel::{CancelProgress, CancelToken};
+use crate::cancel::CancelProgress;
+use crate::checkpoint::KernelKind;
 use crate::dp::NEG_INF;
 use crate::full;
-use crate::score_only::{
-    backward_face, backward_face_cancellable, backward_face_parallel,
-    backward_face_parallel_cancellable, forward_face, forward_face_cancellable,
-    forward_face_parallel, forward_face_parallel_cancellable, Face,
-};
+use crate::run::{RunCtx, UNSTOPPABLE};
+use crate::score_only::{backward_face, forward_face};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
@@ -46,174 +46,95 @@ const BASE_CASE_LEN: usize = 4;
 /// assert_eq!(dc.score, full::align_score(&a, &b, &c, &s));
 /// ```
 pub fn align(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Alignment3 {
-    let mut columns = Vec::with_capacity(a.len() + b.len() + c.len());
-    solve(a, b, c, scoring, false, &mut columns);
-    finish(columns, scoring)
+    solve(a, b, c, scoring, false, &RunCtx::default()).expect(UNSTOPPABLE)
 }
 
 /// Optimal alignment, parallel divide and conquer (parallel faces +
 /// parallel recursion), quadratic space.
 pub fn align_parallel(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Alignment3 {
+    solve(a, b, c, scoring, true, &RunCtx::default()).expect(UNSTOPPABLE)
+}
+
+/// Optimal alignment by divide and conquer in quadratic space: slab faces
+/// and a sequential recursion, or — when `parallel` — plane-parallel faces
+/// and a `rayon::join` over the two halves. The faces run `ctx`'s SIMD
+/// kernel; its token is polled at every recursion node and once per slab
+/// or plane inside each face sweep.
+pub fn solve(
+    a: &Seq,
+    b: &Seq,
+    c: &Seq,
+    scoring: &Scoring,
+    parallel: bool,
+    ctx: &RunCtx<'_>,
+) -> Result<Alignment3, AlignError> {
+    let done = AtomicU64::new(0);
     let mut columns = Vec::with_capacity(a.len() + b.len() + c.len());
-    solve_parallel(a, b, c, scoring, &mut columns);
-    finish(columns, scoring)
-}
-
-/// Score-equivalent entry point used when only the score is wanted but the
-/// caller asked for this algorithm anyway.
-pub fn align_score(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> i32 {
-    align(a, b, c, scoring).score
-}
-
-/// Cancellable sequential divide and conquer: the token is polled at
-/// every recursion node and once per `i`-slab inside each face sweep.
-pub fn align_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-) -> Result<Alignment3, CancelProgress> {
-    run_cancellable(a, b, c, scoring, false, cancel)
-}
-
-/// Cancellable parallel divide and conquer (parallel faces + parallel
-/// recursion); the token is polled per anti-diagonal plane of each face.
-pub fn align_parallel_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-) -> Result<Alignment3, CancelProgress> {
-    run_cancellable(a, b, c, scoring, true, cancel)
+    match recurse(a, b, c, scoring, parallel, ctx, &done, &mut columns) {
+        Ok(()) => {
+            let mut aln = Alignment3::new(columns, 0);
+            aln.score = aln.rescore(scoring);
+            Ok(aln)
+        }
+        // Total work is input-dependent; ~2× the cube is the worst case
+        // (the halved sub-problems sum geometrically).
+        Err(()) => Err(AlignError::Cancelled(CancelProgress {
+            cells_done: done.load(Ordering::Relaxed),
+            cells_total: 2 * cube(a, b, c),
+        })),
+    }
 }
 
 fn cube(a: &Seq, b: &Seq, c: &Seq) -> u64 {
     ((a.len() + 1) * (b.len() + 1) * (c.len() + 1)) as u64
 }
 
-fn run_cancellable(
+/// The one recursion behind [`solve`]. Credits finished (and partially
+/// finished) face sweeps to `done`; `Err(())` means the token fired.
+#[allow(clippy::too_many_arguments)]
+fn recurse(
     a: &Seq,
     b: &Seq,
     c: &Seq,
     scoring: &Scoring,
     parallel: bool,
-    cancel: &CancelToken,
-) -> Result<Alignment3, CancelProgress> {
-    let done = AtomicU64::new(0);
-    let mut columns = Vec::with_capacity(a.len() + b.len() + c.len());
-    let outcome = if parallel {
-        solve_parallel_cancellable(a, b, c, scoring, cancel, &done, &mut columns)
+    ctx: &RunCtx<'_>,
+    done: &AtomicU64,
+    out: &mut Vec<Column3>,
+) -> Result<(), ()> {
+    if ctx.should_stop() {
+        return Err(());
+    }
+    if a.len() <= BASE_CASE_LEN {
+        out.extend(full::align(a, b, c, scoring).columns);
+        done.fetch_add(cube(a, b, c), Ordering::Relaxed);
+        return Ok(());
+    }
+    let mid = a.len() / 2;
+    let a_lo = a.slice(0, mid);
+    let a_hi = a.slice(mid, a.len());
+    let kind = if parallel {
+        KernelKind::Planes
     } else {
-        solve_cancellable(a, b, c, scoring, cancel, &done, &mut columns)
+        KernelKind::Slabs
     };
-    match outcome {
-        Ok(()) => Ok(finish(columns, scoring)),
-        // Total work is input-dependent; ~2× the cube is the worst case
-        // (the halved sub-problems sum geometrically).
-        Err(()) => Err(CancelProgress {
-            cells_done: done.load(Ordering::Relaxed),
-            cells_total: 2 * cube(a, b, c),
-        }),
-    }
-}
-
-fn solve_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-    done: &AtomicU64,
-    out: &mut Vec<Column3>,
-) -> Result<(), ()> {
-    if cancel.should_stop() {
-        return Err(());
-    }
-    if a.len() <= BASE_CASE_LEN {
-        out.extend(full::align(a, b, c, scoring).columns);
-        done.fetch_add(cube(a, b, c), Ordering::Relaxed);
-        return Ok(());
-    }
-    let mid = a.len() / 2;
-    let a_lo = a.slice(0, mid);
-    let a_hi = a.slice(mid, a.len());
-    let f = match forward_face_cancellable(&a_lo, b, c, scoring, cancel) {
-        Ok(f) => {
-            done.fetch_add(cube(&a_lo, b, c), Ordering::Relaxed);
-            f
-        }
-        Err(p) => {
-            done.fetch_add(p.cells_done, Ordering::Relaxed);
-            return Err(());
-        }
+    let forward = || forward_face(&a_lo, b, c, scoring, kind, ctx);
+    let backward = || backward_face(&a_hi, b, c, scoring, kind, ctx);
+    let (fr, rr) = if parallel {
+        rayon::join(forward, backward)
+    } else {
+        (forward(), backward())
     };
-    let r = match backward_face_cancellable(&a_hi, b, c, scoring, cancel) {
-        Ok(r) => {
-            done.fetch_add(cube(&a_hi, b, c), Ordering::Relaxed);
-            r
-        }
-        Err(p) => {
-            done.fetch_add(p.cells_done, Ordering::Relaxed);
-            return Err(());
-        }
-    };
-    let w3 = c.len() + 1;
-    let split = best_split(&f, &r);
-    let (sj, sk) = (split / w3, split % w3);
-    solve_cancellable(
-        &a_lo,
-        &b.slice(0, sj),
-        &c.slice(0, sk),
-        scoring,
-        cancel,
-        done,
-        out,
-    )?;
-    solve_cancellable(
-        &a_hi,
-        &b.slice(sj, b.len()),
-        &c.slice(sk, c.len()),
-        scoring,
-        cancel,
-        done,
-        out,
-    )
-}
-
-fn solve_parallel_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-    done: &AtomicU64,
-    out: &mut Vec<Column3>,
-) -> Result<(), ()> {
-    if cancel.should_stop() {
-        return Err(());
-    }
-    if a.len() <= BASE_CASE_LEN {
-        out.extend(full::align(a, b, c, scoring).columns);
-        done.fetch_add(cube(a, b, c), Ordering::Relaxed);
-        return Ok(());
-    }
-    let mid = a.len() / 2;
-    let a_lo = a.slice(0, mid);
-    let a_hi = a.slice(mid, a.len());
-    let (fr, rr) = rayon::join(
-        || forward_face_parallel_cancellable(&a_lo, b, c, scoring, cancel),
-        || backward_face_parallel_cancellable(&a_hi, b, c, scoring, cancel),
-    );
     // Account both halves before bailing: the sibling may have finished.
-    let credit = |res: Result<Face, CancelProgress>, full_cells: u64| match res {
+    let credit = |res: Result<Vec<i32>, AlignError>, full_cells: u64| match res {
         Ok(face) => {
             done.fetch_add(full_cells, Ordering::Relaxed);
             Some(face)
         }
-        Err(p) => {
-            done.fetch_add(p.cells_done, Ordering::Relaxed);
+        Err(e) => {
+            if let AlignError::Cancelled(p) = e {
+                done.fetch_add(p.cells_done, Ordering::Relaxed);
+            }
             None
         }
     };
@@ -227,21 +148,21 @@ fn solve_parallel_cancellable(
     let (sj, sk) = (split / w3, split % w3);
     let (b_lo, b_hi) = (b.slice(0, sj), b.slice(sj, b.len()));
     let (c_lo, c_hi) = (c.slice(0, sk), c.slice(sk, c.len()));
-    let mut right: Vec<Column3> = Vec::new();
-    let (left_ok, right_ok) = rayon::join(
-        || solve_parallel_cancellable(&a_lo, &b_lo, &c_lo, scoring, cancel, done, out),
-        || solve_parallel_cancellable(&a_hi, &b_hi, &c_hi, scoring, cancel, done, &mut right),
-    );
-    left_ok?;
-    right_ok?;
-    out.extend(right);
-    Ok(())
-}
-
-fn finish(columns: Vec<Column3>, scoring: &Scoring) -> Alignment3 {
-    let mut aln = Alignment3::new(columns, 0);
-    aln.score = aln.rescore(scoring);
-    aln
+    let left =
+        |out: &mut Vec<Column3>| recurse(&a_lo, &b_lo, &c_lo, scoring, parallel, ctx, done, out);
+    let right =
+        |out: &mut Vec<Column3>| recurse(&a_hi, &b_hi, &c_hi, scoring, parallel, ctx, done, out);
+    if parallel {
+        let mut right_cols: Vec<Column3> = Vec::new();
+        let (left_ok, right_ok) = rayon::join(|| left(out), || right(&mut right_cols));
+        left_ok?;
+        right_ok?;
+        out.extend(right_cols);
+        Ok(())
+    } else {
+        left(out)?;
+        right(out)
+    }
 }
 
 /// Pick the split column: argmax of `F + R`, ties broken toward the
@@ -259,82 +180,10 @@ fn best_split(f: &[i32], r: &[i32]) -> usize {
     best_idx
 }
 
-fn solve(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    parallel_faces: bool,
-    out: &mut Vec<Column3>,
-) {
-    if a.len() <= BASE_CASE_LEN {
-        out.extend(full::align(a, b, c, scoring).columns);
-        return;
-    }
-    let mid = a.len() / 2;
-    let a_lo = a.slice(0, mid);
-    let a_hi = a.slice(mid, a.len());
-    let (f, r) = if parallel_faces {
-        rayon::join(
-            || forward_face_parallel(&a_lo, b, c, scoring),
-            || backward_face_parallel(&a_hi, b, c, scoring),
-        )
-    } else {
-        (
-            forward_face(&a_lo, b, c, scoring),
-            backward_face(&a_hi, b, c, scoring),
-        )
-    };
-    let w3 = c.len() + 1;
-    let split = best_split(&f, &r);
-    let (sj, sk) = (split / w3, split % w3);
-    solve(
-        &a_lo,
-        &b.slice(0, sj),
-        &c.slice(0, sk),
-        scoring,
-        parallel_faces,
-        out,
-    );
-    solve(
-        &a_hi,
-        &b.slice(sj, b.len()),
-        &c.slice(sk, c.len()),
-        scoring,
-        parallel_faces,
-        out,
-    );
-}
-
-fn solve_parallel(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring, out: &mut Vec<Column3>) {
-    // Small problems: no point forking.
-    if a.len() <= BASE_CASE_LEN {
-        out.extend(full::align(a, b, c, scoring).columns);
-        return;
-    }
-    let mid = a.len() / 2;
-    let a_lo = a.slice(0, mid);
-    let a_hi = a.slice(mid, a.len());
-    let (f, r) = rayon::join(
-        || forward_face_parallel(&a_lo, b, c, scoring),
-        || backward_face_parallel(&a_hi, b, c, scoring),
-    );
-    let w3 = c.len() + 1;
-    let split = best_split(&f, &r);
-    let (sj, sk) = (split / w3, split % w3);
-    let (b_lo, b_hi) = (b.slice(0, sj), b.slice(sj, b.len()));
-    let (c_lo, c_hi) = (c.slice(0, sk), c.slice(sk, c.len()));
-    let mut right: Vec<Column3> = Vec::new();
-    rayon::join(
-        || solve_parallel(&a_lo, &b_lo, &c_lo, scoring, out),
-        || solve_parallel(&a_hi, &b_hi, &c_hi, scoring, &mut right),
-    );
-    out.extend(right);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use crate::test_util::{family_triple, random_triple};
 
     fn s() -> Scoring {
@@ -420,11 +269,13 @@ mod tests {
     fn cancellable_dc_without_cancel_matches_plain() {
         let (a, b, c) = family_triple(17, 20);
         let token = CancelToken::never();
-        let dc = align_cancellable(&a, &b, &c, &s(), &token).unwrap();
+        let ctx = RunCtx::default().cancel(&token);
+        let dc = solve(&a, &b, &c, &s(), false, &ctx).unwrap();
+        assert_eq!(dc, align(&a, &b, &c, &s()));
         assert_eq!(dc.score, full::align_score(&a, &b, &c, &s()));
         dc.validate_scored(&a, &b, &c, &s()).unwrap();
-        let pdc = align_parallel_cancellable(&a, &b, &c, &s(), &token).unwrap();
-        assert_eq!(pdc.score, dc.score);
+        let pdc = solve(&a, &b, &c, &s(), true, &ctx).unwrap();
+        assert_eq!(pdc, align_parallel(&a, &b, &c, &s()));
     }
 
     #[test]
@@ -432,8 +283,11 @@ mod tests {
         let (a, b, c) = family_triple(18, 20);
         let token = CancelToken::never();
         token.cancel();
+        let ctx = RunCtx::default().cancel(&token);
         for parallel in [false, true] {
-            let p = run_cancellable(&a, &b, &c, &s(), parallel, &token).unwrap_err();
+            let Err(AlignError::Cancelled(p)) = solve(&a, &b, &c, &s(), parallel, &ctx) else {
+                panic!("parallel={parallel}: a fired token must stop the recursion");
+            };
             assert_eq!(p.cells_done, 0, "parallel={parallel}");
             assert!(p.cells_total > 0);
         }

@@ -22,6 +22,8 @@
 //!
 //! The high-level entry point is [`Aligner`], a builder that picks the
 //! algorithm and validates inputs; the result type is [`Alignment3`].
+//! Every executor has a single sweep that takes a [`RunCtx`]: the SIMD
+//! kernel, an optional cancel token and optional checkpointing.
 //!
 //! ```
 //! use tsa_core::{Aligner, Algorithm};
@@ -52,21 +54,22 @@ pub mod hirschberg3;
 pub mod kernel;
 mod kernel_i16;
 pub mod local;
+pub mod run;
 pub mod score_only;
 pub mod stats;
 pub mod tiled;
 pub mod wavefront;
 
-pub use aligner::{Algorithm, AlignError, Aligner};
+pub use aligner::{Algorithm, AlignError, Aligner, Task};
 pub use alignment::{Alignment3, Column3, ValidationError};
 pub use cancel::{CancelProgress, CancelToken};
 pub use checkpoint::{
     job_fingerprint, scrub_snapshot_dir, CheckpointConfig, CheckpointPolicy, CheckpointSink,
-    DurableStop, FrontierSnapshot, KernelKind, MemorySink, ResumeError, SnapshotError,
-    SnapshotScrub,
+    FrontierSnapshot, KernelKind, MemorySink, ResumeError, SnapshotError, SnapshotScrub,
 };
 pub use dp::NEG_INF;
 pub use kernel::{ResolvedKernel, SimdKernel};
+pub use run::RunCtx;
 
 #[cfg(test)]
 pub(crate) mod test_util {

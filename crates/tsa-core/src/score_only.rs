@@ -3,28 +3,28 @@
 //! The full lattice is only needed for traceback. For the score (and for
 //! the divide-and-conquer aligner's *faces*) it suffices to keep:
 //!
-//! * **slab rolling** ([`score_slabs`], [`forward_face`]) — two `i`-slabs
-//!   of `(n2+1)(n3+1)` cells, swept sequentially. The final slab is exactly
+//! * **slab rolling** ([`KernelKind::Slabs`]) — two `i`-slabs of
+//!   `(n2+1)(n3+1)` cells, swept sequentially. The final slab is exactly
 //!   `D[n1][·][·]`, the forward face Hirschberg needs.
-//! * **plane rolling** ([`score_planes_parallel`],
-//!   [`forward_face_parallel`]) — four anti-diagonal plane buffers with the
-//!   cells of each plane computed in parallel. A cell's seven predecessors
-//!   live on planes `d−1..d−3`, so four rotating buffers suffice.
+//! * **plane rolling** ([`KernelKind::Planes`]) — four anti-diagonal plane
+//!   buffers with the cells of each plane computed in parallel. A cell's
+//!   seven predecessors live on planes `d−1..d−3`, so four rotating
+//!   buffers suffice.
 //!
 //! Both give `O(n²)` memory instead of `O(n³)`, the headline of the memory
 //! experiment (`table3`).
 //!
-//! Every entry point has a `*_with` twin taking a [`SimdKernel`] selector;
-//! the plain spellings run `SimdKernel::Auto` (the widest instruction set
-//! the CPU supports). All kernels produce **bit-identical** scores — the
-//! SIMD row kernels in [`crate::kernel`] restate the same `i32` arithmetic
-//! — so the choice is purely a throughput knob.
+//! Each sweep is a single loop driven by a [`RunCtx`]; [`score`] (and the
+//! faces the divide and conquer asks for) pick the sweep by [`KernelKind`].
+//! The context's [`SimdKernel`] runs the rows — all kernels produce
+//! **bit-identical** scores (the SIMD row kernels in [`crate::kernel`]
+//! restate the same `i32` arithmetic), so the choice is purely a
+//! throughput knob. Its token is polled once per slab or plane, and a
+//! durable context makes [`score`] checkpoint the frontier.
 
-use crate::cancel::{CancelProgress, CancelToken};
-use crate::checkpoint::{
-    job_fingerprint, CheckpointConfig, DurableStop, FrontierSnapshot, KernelKind, Pacer,
-    ResumeError,
-};
+use crate::aligner::AlignError;
+use crate::cancel::CancelProgress;
+use crate::checkpoint::{Checkpointer, KernelKind, ResumeError};
 use crate::dp::{Kernel, NEG_INF};
 use crate::kernel::{
     plane_row, slab_row, PlaneRow, PlaneScratch, Profiles, ResolvedKernel, SimdKernel, SlabRow,
@@ -32,6 +32,7 @@ use crate::kernel::{
 use crate::kernel_i16::{
     fits_i16, narrow_row, plane_row_i16, I16Profiles, PlaneRowI16, PlaneShadows, RowSel, SlabI16,
 };
+use crate::run::{RunCtx, UNSTOPPABLE};
 use rayon::prelude::*;
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
@@ -42,76 +43,113 @@ use tsa_wavefront::SharedGrid;
 /// `j * (n3 + 1) + k`.
 pub type Face = Vec<i32>;
 
-/// Sequential slab-rolling score: `O(n³)` time, two slabs of memory.
-pub fn score_slabs(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> i32 {
-    score_slabs_with(a, b, c, scoring, SimdKernel::Auto)
-}
-
-/// [`score_slabs`] with an explicit SIMD kernel selection.
-pub fn score_slabs_with(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring, simd: SimdKernel) -> i32 {
-    *forward_face_with(a, b, c, scoring, simd)
-        .last()
-        .expect("face non-empty")
-}
-
-/// Like [`score_slabs`], but polls `cancel` once per `i`-slab.
-pub fn score_slabs_cancellable(
+/// The optimal score by the `kind` rolling sweep: `O(n³)` time, `O(n²)`
+/// memory. A durable `ctx` checkpoints the sweep's frontier and may
+/// resume a snapshot of the same job and kind; the score is bit-identical
+/// to an uninterrupted run under any kernel.
+pub fn score(
     a: &Seq,
     b: &Seq,
     c: &Seq,
     scoring: &Scoring,
-    cancel: &CancelToken,
-) -> Result<i32, CancelProgress> {
-    score_slabs_cancellable_with(a, b, c, scoring, cancel, SimdKernel::Auto)
-}
-
-/// [`score_slabs_cancellable`] with an explicit SIMD kernel selection.
-pub fn score_slabs_cancellable_with(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-    simd: SimdKernel,
-) -> Result<i32, CancelProgress> {
-    let face = forward_face_impl(a, b, c, scoring, Some(cancel), simd.resolve())?;
-    Ok(*face.last().expect("face non-empty"))
-}
-
-/// The forward face `D[|a|][j][k]` for all `(j, k)`: the optimal score of
-/// aligning **all of `a`** against the prefixes `b[..j]`, `c[..k]`.
-pub fn forward_face(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Face {
-    forward_face_with(a, b, c, scoring, SimdKernel::Auto)
-}
-
-/// [`forward_face`] with an explicit SIMD kernel selection.
-pub fn forward_face_with(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring, simd: SimdKernel) -> Face {
-    match forward_face_impl(a, b, c, scoring, None, simd.resolve()) {
-        Ok(face) => face,
-        Err(_) => unreachable!("no token, no cancellation"),
+    kind: KernelKind,
+    ctx: &RunCtx<'_>,
+) -> Result<i32, AlignError> {
+    match kind {
+        KernelKind::Slabs => Ok(*slab_sweep(a, b, c, scoring, ctx)?
+            .last()
+            .expect("face non-empty")),
+        KernelKind::Planes => Ok(plane_sweep(a, b, c, scoring, false, ctx)?.0),
     }
 }
 
-/// Like [`forward_face`], but polls `cancel` once per `i`-slab and aborts
-/// with the progress made when it fires.
-pub fn forward_face_cancellable(
+/// The forward face `D[|a|][j][k]` for all `(j, k)`: the optimal score of
+/// aligning **all of `a`** against the prefixes `b[..j]`, `c[..k]`. Faces
+/// are never checkpointed; a durable `ctx` runs as a plain one.
+pub(crate) fn forward_face(
     a: &Seq,
     b: &Seq,
     c: &Seq,
     scoring: &Scoring,
-    cancel: &CancelToken,
-) -> Result<Face, CancelProgress> {
-    forward_face_impl(a, b, c, scoring, Some(cancel), SimdKernel::Auto.resolve())
+    kind: KernelKind,
+    ctx: &RunCtx<'_>,
+) -> Result<Face, AlignError> {
+    let ctx = ctx.transient();
+    match kind {
+        KernelKind::Slabs => slab_sweep(a, b, c, scoring, &ctx),
+        KernelKind::Planes => Ok(plane_sweep(a, b, c, scoring, true, &ctx)?
+            .1
+            .expect("face requested")),
+    }
 }
 
-fn forward_face_impl(
+/// The backward face: `out[j * (n3+1) + k]` is the optimal score of
+/// aligning **all of `a`** against the suffixes `b[j..]`, `c[k..]`.
+pub(crate) fn backward_face(
     a: &Seq,
     b: &Seq,
     c: &Seq,
     scoring: &Scoring,
-    cancel: Option<&CancelToken>,
-    rk: ResolvedKernel,
-) -> Result<Face, CancelProgress> {
+    kind: KernelKind,
+    ctx: &RunCtx<'_>,
+) -> Result<Face, AlignError> {
+    let (ar, br, cr) = (a.reversed(), b.reversed(), c.reversed());
+    let rev = forward_face(&ar, &br, &cr, scoring, kind, ctx)?;
+    Ok(reindex_backward(rev, b.len(), c.len()))
+}
+
+/// [`score`] by the slab sweep under `simd`.
+pub fn score_slabs_with(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring, simd: SimdKernel) -> i32 {
+    score(
+        a,
+        b,
+        c,
+        scoring,
+        KernelKind::Slabs,
+        &RunCtx::default().kernel(simd),
+    )
+    .expect(UNSTOPPABLE)
+}
+
+/// [`score`] by the plane sweep under the `auto` kernel.
+pub fn score_planes_parallel(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> i32 {
+    score_planes_parallel_with(a, b, c, scoring, SimdKernel::Auto)
+}
+
+/// [`score`] by the plane sweep under `simd`.
+pub fn score_planes_parallel_with(
+    a: &Seq,
+    b: &Seq,
+    c: &Seq,
+    scoring: &Scoring,
+    simd: SimdKernel,
+) -> i32 {
+    score(
+        a,
+        b,
+        c,
+        scoring,
+        KernelKind::Planes,
+        &RunCtx::default().kernel(simd),
+    )
+    .expect(UNSTOPPABLE)
+}
+
+/// The slab-rolling sweep; returns the final slab (the forward face).
+///
+/// At each slab boundary it polls, in order: the cancel token, the drain
+/// flag (store a final snapshot, stop with [`AlignError::Drained`]), and
+/// the checkpoint pacer (store a snapshot, keep going). A snapshot stores
+/// the one completed slab the next slab needs, so resuming continues the
+/// identical arithmetic.
+fn slab_sweep(
+    a: &Seq,
+    b: &Seq,
+    c: &Seq,
+    scoring: &Scoring,
+    ctx: &RunCtx<'_>,
+) -> Result<Face, AlignError> {
+    let rk = ctx.kernel.resolve();
     let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
     let (n1, n2, n3) = kernel.lens();
     let w3 = n3 + 1;
@@ -119,16 +157,32 @@ fn forward_face_impl(
     let prof = slab_profiles(a, b, c, scoring, rk);
     let prof16 = i16_profiles(a, b, c, scoring, rk);
     let mut slab16 = prof16.as_ref().map(|_| SlabI16::new(w3));
-    let mut prev: Vec<i32> = vec![NEG_INF; slab_len];
-    let mut cur: Vec<i32> = vec![NEG_INF; slab_len];
-    for i in 0..=n1 {
-        if let Some(t) = cancel {
-            if t.should_stop() {
-                return Err(CancelProgress {
-                    cells_done: (i * slab_len) as u64,
-                    cells_total: ((n1 + 1) * slab_len) as u64,
-                });
+    let cells_total = ((n1 + 1) * slab_len) as u64;
+
+    let mut ck = Checkpointer::new(ctx, a, b, c, scoring, KernelKind::Slabs);
+    let resume = ck.as_ref().map(Checkpointer::resume).transpose()?.flatten();
+    let (start, mut prev, mut cells_done) = match resume {
+        None => (0usize, vec![NEG_INF; slab_len], 0u64),
+        Some(s) => {
+            let next = s.next_index as usize;
+            if next > n1 {
+                return Err(AlignError::InvalidResume(ResumeError::Index));
             }
+            if s.buffers.len() != 1 || s.buffers[0].len() != slab_len {
+                return Err(AlignError::InvalidResume(ResumeError::Shape));
+            }
+            (next, s.buffers[0].clone(), s.cells_done)
+        }
+    };
+    let mut cur = vec![NEG_INF; slab_len];
+    for i in start..=n1 {
+        let progress = CancelProgress {
+            cells_done,
+            cells_total,
+        };
+        ctx.poll(progress)?;
+        if let Some(ck) = &ck {
+            ck.drain(i, progress, || vec![prev.clone()])?;
         }
         compute_slab(
             &kernel,
@@ -144,8 +198,12 @@ fn forward_face_impl(
             prof16.as_ref(),
             &mut slab16,
         );
+        cells_done += slab_len as u64;
         if i < n1 {
             std::mem::swap(&mut prev, &mut cur);
+            if let Some(ck) = &mut ck {
+                ck.tick(i + 1, cells_done, || vec![prev.clone()])?;
+            }
         }
     }
     Ok(cur)
@@ -281,161 +339,6 @@ fn compute_slab(
     }
 }
 
-/// Durable slab-rolling score: like [`score_slabs_cancellable`], plus
-/// periodic frontier checkpoints and optional resume.
-///
-/// At each slab boundary the kernel polls, in order: the cancel token, the
-/// drain flag (store a final snapshot, stop with
-/// [`DurableStop::Drained`]), and the checkpoint pacer (store a snapshot,
-/// keep going). A snapshot stores the one completed slab the next slab
-/// needs, so resuming continues the identical arithmetic — the returned
-/// score is bit-identical to an uninterrupted run.
-pub fn score_slabs_durable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-    ckpt: &CheckpointConfig<'_>,
-    resume: Option<&FrontierSnapshot>,
-) -> Result<i32, DurableStop> {
-    score_slabs_durable_with(a, b, c, scoring, cancel, ckpt, resume, SimdKernel::Auto)
-}
-
-/// [`score_slabs_durable`] with an explicit SIMD kernel selection. The
-/// kernel does **not** enter the job fingerprint: scores are bit-identical
-/// across kernels, so a sweep checkpointed under one kernel may resume
-/// under another.
-#[allow(clippy::too_many_arguments)]
-pub fn score_slabs_durable_with(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-    ckpt: &CheckpointConfig<'_>,
-    resume: Option<&FrontierSnapshot>,
-    simd: SimdKernel,
-) -> Result<i32, DurableStop> {
-    let rk = simd.resolve();
-    let prof = slab_profiles(a, b, c, scoring, rk);
-    let prof16 = i16_profiles(a, b, c, scoring, rk);
-    let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
-    let (n1, n2, n3) = kernel.lens();
-    let w3 = n3 + 1;
-    let mut slab16 = prof16.as_ref().map(|_| SlabI16::new(w3));
-    let slab_len = (n2 + 1) * w3;
-    let fp = job_fingerprint(a, b, c, scoring, KernelKind::Slabs);
-    let total = ((n1 + 1) * slab_len) as u64;
-    let progress = |done: u64| CancelProgress {
-        cells_done: done,
-        cells_total: total,
-    };
-
-    let (start, mut prev, mut cells_done) = match resume {
-        None => (0usize, vec![NEG_INF; slab_len], 0u64),
-        Some(s) => {
-            validate_resume(s, fp, KernelKind::Slabs)?;
-            let next = s.next_index as usize;
-            if next > n1 {
-                return Err(DurableStop::InvalidResume(ResumeError::Index));
-            }
-            if s.buffers.len() != 1 || s.buffers[0].len() != slab_len {
-                return Err(DurableStop::InvalidResume(ResumeError::Shape));
-            }
-            (next, s.buffers[0].clone(), s.cells_done)
-        }
-    };
-    let mut cur = vec![NEG_INF; slab_len];
-    let mut pacer = Pacer::new(ckpt.policy);
-
-    for i in start..=n1 {
-        if cancel.should_stop() {
-            return Err(DurableStop::Cancelled(progress(cells_done)));
-        }
-        if ckpt.drain_requested() {
-            store(ckpt, slab_snapshot(fp, i, cells_done, &prev))?;
-            return Err(DurableStop::Drained(progress(cells_done)));
-        }
-        compute_slab(
-            &kernel,
-            a,
-            b,
-            c,
-            scoring,
-            i,
-            &prev,
-            &mut cur,
-            rk,
-            prof.as_ref(),
-            prof16.as_ref(),
-            &mut slab16,
-        );
-        cells_done += slab_len as u64;
-        if i < n1 {
-            std::mem::swap(&mut prev, &mut cur);
-            if pacer.due() {
-                store(ckpt, slab_snapshot(fp, i + 1, cells_done, &prev))?;
-            }
-        }
-    }
-    Ok(*cur.last().expect("face non-empty"))
-}
-
-fn slab_snapshot(fp: u64, next: usize, cells_done: u64, prev: &[i32]) -> FrontierSnapshot {
-    FrontierSnapshot {
-        fingerprint: fp,
-        kind: KernelKind::Slabs.code(),
-        next_index: next as u32,
-        cells_done,
-        buffers: vec![prev.to_vec()],
-    }
-}
-
-fn validate_resume(s: &FrontierSnapshot, fp: u64, kind: KernelKind) -> Result<(), DurableStop> {
-    if s.kind != kind.code() {
-        return Err(DurableStop::InvalidResume(ResumeError::Kind {
-            expected: kind.code(),
-            found: s.kind,
-        }));
-    }
-    if s.fingerprint != fp {
-        return Err(DurableStop::InvalidResume(ResumeError::Fingerprint {
-            expected: fp,
-            found: s.fingerprint,
-        }));
-    }
-    Ok(())
-}
-
-fn store(ckpt: &CheckpointConfig<'_>, snapshot: FrontierSnapshot) -> Result<(), DurableStop> {
-    ckpt.sink
-        .store(&snapshot)
-        .map_err(|e| DurableStop::Sink(e.to_string()))
-}
-
-/// The backward face: `out[j * (n3+1) + k]` is the optimal score of
-/// aligning **all of `a`** against the suffixes `b[j..]`, `c[k..]`.
-pub fn backward_face(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Face {
-    let (ar, br, cr) = (a.reversed(), b.reversed(), c.reversed());
-    let rev = forward_face(&ar, &br, &cr, scoring);
-    reindex_backward(rev, b.len(), c.len())
-}
-
-/// Like [`backward_face`], but cancellable (see
-/// [`forward_face_cancellable`]).
-pub fn backward_face_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-) -> Result<Face, CancelProgress> {
-    let (ar, br, cr) = (a.reversed(), b.reversed(), c.reversed());
-    let rev = forward_face_cancellable(&ar, &br, &cr, scoring, cancel)?;
-    Ok(reindex_backward(rev, b.len(), c.len()))
-}
-
 /// Convert a face computed on reversed sequences into suffix indexing.
 fn reindex_backward(rev: Face, n2: usize, n3: usize) -> Face {
     let w3 = n3 + 1;
@@ -448,163 +351,118 @@ fn reindex_backward(rev: Face, n2: usize, n3: usize) -> Face {
     out
 }
 
-/// Plane-rolling parallel score: cells of each anti-diagonal plane in
-/// parallel, four rotating `(n1+1)(n2+1)` buffers.
-pub fn score_planes_parallel(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> i32 {
-    score_planes_parallel_with(a, b, c, scoring, SimdKernel::Auto)
-}
-
-/// [`score_planes_parallel`] with an explicit SIMD kernel selection.
-pub fn score_planes_parallel_with(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    simd: SimdKernel,
-) -> i32 {
-    match planes_pass(a, b, c, scoring, false, None, simd.resolve()) {
-        Ok((score, _face)) => score,
-        Err(_) => unreachable!("no token, no cancellation"),
-    }
-}
-
-/// Like [`score_planes_parallel`], but polls `cancel` once per
-/// anti-diagonal plane.
-pub fn score_planes_parallel_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-) -> Result<i32, CancelProgress> {
-    score_planes_parallel_cancellable_with(a, b, c, scoring, cancel, SimdKernel::Auto)
-}
-
-/// [`score_planes_parallel_cancellable`] with an explicit SIMD kernel
-/// selection.
-pub fn score_planes_parallel_cancellable_with(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-    simd: SimdKernel,
-) -> Result<i32, CancelProgress> {
-    let (score, _face) = planes_pass(a, b, c, scoring, false, Some(cancel), simd.resolve())?;
-    Ok(score)
-}
-
-/// Parallel forward face (same values as [`forward_face`], computed with
-/// plane-parallel sweeps — used by the parallel divide-and-conquer).
-pub fn forward_face_parallel(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Face {
-    match planes_pass(a, b, c, scoring, true, None, SimdKernel::Auto.resolve()) {
-        Ok((_score, face)) => face.expect("face requested"),
-        Err(_) => unreachable!("no token, no cancellation"),
-    }
-}
-
-/// Cancellable parallel forward face (checked per anti-diagonal plane).
-pub fn forward_face_parallel_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-) -> Result<Face, CancelProgress> {
-    let (_score, face) = planes_pass(
-        a,
-        b,
-        c,
-        scoring,
-        true,
-        Some(cancel),
-        SimdKernel::Auto.resolve(),
-    )?;
-    Ok(face.expect("face requested"))
-}
-
-/// Parallel backward face (suffix indexing, like [`backward_face`]).
-pub fn backward_face_parallel(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Face {
-    let (ar, br, cr) = (a.reversed(), b.reversed(), c.reversed());
-    let rev = forward_face_parallel(&ar, &br, &cr, scoring);
-    reindex_backward(rev, b.len(), c.len())
-}
-
-/// Cancellable parallel backward face (checked per anti-diagonal plane).
-pub fn backward_face_parallel_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-) -> Result<Face, CancelProgress> {
-    let (ar, br, cr) = (a.reversed(), b.reversed(), c.reversed());
-    let rev = forward_face_parallel_cancellable(&ar, &br, &cr, scoring, cancel)?;
-    Ok(reindex_backward(rev, b.len(), c.len()))
-}
-
 /// Cells per rayon task within a plane.
 const MIN_CELLS_PER_TASK: usize = 64;
 
-fn planes_pass(
+/// The plane-rolling sweep; returns the score and, when `want_face`, the
+/// forward face (collected as its cells are computed). Polls like
+/// [`slab_sweep`], once per anti-diagonal plane. A snapshot stores the
+/// last `min(d, 3)` completed planes — everything the recurrence can
+/// still reach — so a resumed sweep reproduces the uninterrupted score
+/// bit for bit.
+fn plane_sweep(
     a: &Seq,
     b: &Seq,
     c: &Seq,
     scoring: &Scoring,
     want_face: bool,
-    cancel: Option<&CancelToken>,
-    rk: ResolvedKernel,
-) -> Result<(i32, Option<Face>), CancelProgress> {
+    ctx: &RunCtx<'_>,
+) -> Result<(i32, Option<Face>), AlignError> {
+    let rk = ctx.kernel.resolve();
     let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
     let (n1, n2, n3) = kernel.lens();
     let e = Extents::new(n1, n2, n3);
     let w2 = n2 + 1;
-    let slot = |i: usize, j: usize| i * w2 + j;
+    let plane_len = (n1 + 1) * w2;
     let prof = slab_profiles(a, b, c, scoring, rk);
     let prof16 = i16_profiles(a, b, c, scoring, rk);
-    let shadows = prof16.as_ref().map(|_| PlaneShadows::new((n1 + 1) * w2));
+    // Shadows start invalid; a resumed sweep (which restores only the
+    // `i32` buffers) re-arms them within three cleanly narrowed planes.
+    let shadows = prof16.as_ref().map(|_| PlaneShadows::new(plane_len));
 
     // Four rotating plane buffers indexed by (i, j); the k of a stored
     // value is implied by its plane: k = d − i − j.
-    let buffers: [SharedGrid<i32>; 4] =
-        std::array::from_fn(|_| SharedGrid::new((n1 + 1) * w2, NEG_INF));
+    let mut buffers: [SharedGrid<i32>; 4] =
+        std::array::from_fn(|_| SharedGrid::new(plane_len, NEG_INF));
     // Face at i = n1, filled as its cells are computed (only if wanted).
     let face: Option<SharedGrid<i32>> = want_face.then(|| SharedGrid::new(w2 * (n3 + 1), NEG_INF));
 
-    let ctx = PlaneCtx {
-        kernel: &kernel,
-        buffers: &buffers,
-        n1,
-        n3,
-        w2,
-        rk,
-        prof: prof.as_ref(),
-        prof16: prof16.as_ref(),
-        shadows: shadows.as_ref(),
-        scoring,
-        ra: a.residues(),
-        rb: b.residues(),
-        rc: c.residues(),
-    };
-    let mut cells: Vec<(usize, usize, usize)> = Vec::with_capacity(e.max_plane_len());
-    let mut cells_done: u64 = 0;
-    for d in 0..e.num_planes() {
-        if let Some(t) = cancel {
-            if t.should_stop() {
-                return Err(CancelProgress {
-                    cells_done,
-                    cells_total: e.cells() as u64,
-                });
+    let mut ck = Checkpointer::new(ctx, a, b, c, scoring, KernelKind::Planes);
+    let resume = ck.as_ref().map(Checkpointer::resume).transpose()?.flatten();
+    let (start, mut cells_done) = match resume {
+        None => (0usize, 0u64),
+        Some(s) => {
+            let next = s.next_index as usize;
+            if next >= e.num_planes() {
+                return Err(AlignError::InvalidResume(ResumeError::Index));
             }
+            let expect = next.min(3);
+            if s.buffers.len() != expect || s.buffers.iter().any(|b| b.len() != plane_len) {
+                return Err(AlignError::InvalidResume(ResumeError::Shape));
+            }
+            // Restore plane p into its rotation slot p % 4; untouched
+            // slots keep the NEG_INF initialization, exactly as at plane
+            // `next` of a fresh run.
+            for (idx, buf) in s.buffers.iter().enumerate() {
+                let p = next - expect + idx;
+                let target = &buffers[p % 4];
+                for (si, &v) in buf.iter().enumerate() {
+                    // SAFETY: exclusive access — no worker threads yet.
+                    unsafe { target.set(si, v) };
+                }
+            }
+            (next, s.cells_done)
         }
+    };
+
+    let mut cells: Vec<(usize, usize, usize)> = Vec::with_capacity(e.max_plane_len());
+    for d in start..e.num_planes() {
+        let progress = CancelProgress {
+            cells_done,
+            cells_total: e.cells() as u64,
+        };
+        ctx.poll(progress)?;
+        if let Some(ck) = &ck {
+            ck.drain(d, progress, || plane_frontier(&mut buffers, d))?;
+        }
+        // The context only borrows; rebuilt per plane so the snapshots
+        // above/below can borrow the buffers mutably.
+        let pctx = PlaneCtx {
+            kernel: &kernel,
+            buffers: &buffers,
+            n1,
+            n3,
+            w2,
+            rk,
+            prof: prof.as_ref(),
+            prof16: prof16.as_ref(),
+            shadows: shadows.as_ref(),
+            scoring,
+            ra: a.residues(),
+            rb: b.residues(),
+            rc: c.residues(),
+        };
         if let Some(sh) = &shadows {
             sh.begin_plane(d);
         }
-        cells_done += compute_plane(&ctx, face.as_ref(), &mut cells, e, d) as u64;
+        cells_done += compute_plane(&pctx, face.as_ref(), &mut cells, e, d) as u64;
+        if d + 1 < e.num_planes() {
+            if let Some(ck) = &mut ck {
+                ck.tick(d + 1, cells_done, || plane_frontier(&mut buffers, d + 1))?;
+            }
+        }
     }
     let final_plane = (n1 + n2 + n3) % 4;
-    let score = unsafe { buffers[final_plane].get(slot(n1, n2)) };
+    // SAFETY: the sweep has finished; exclusive access.
+    let score = unsafe { buffers[final_plane].get(n1 * w2 + n2) };
     Ok((score, face.map(SharedGrid::into_vec)))
+}
+
+/// The `min(next, 3)` planes preceding `next`, oldest first.
+fn plane_frontier(buffers: &mut [SharedGrid<i32>; 4], next: usize) -> Vec<Vec<i32>> {
+    (next - next.min(3)..next)
+        .map(|p| buffers[p % 4].snapshot())
+        .collect()
 }
 
 /// Loop-invariant context of one plane-rolling sweep, shared by every
@@ -900,144 +758,6 @@ fn plane_row_segmented(
     }
 }
 
-/// Durable plane-rolling parallel score: like
-/// [`score_planes_parallel_cancellable`], plus periodic frontier
-/// checkpoints and optional resume (see [`score_slabs_durable`] for the
-/// poll order). A snapshot stores the last `min(d, 3)` completed planes —
-/// everything the recurrence can still reach — so a resumed sweep
-/// reproduces the uninterrupted score bit for bit.
-pub fn score_planes_parallel_durable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-    ckpt: &CheckpointConfig<'_>,
-    resume: Option<&FrontierSnapshot>,
-) -> Result<i32, DurableStop> {
-    score_planes_parallel_durable_with(a, b, c, scoring, cancel, ckpt, resume, SimdKernel::Auto)
-}
-
-/// [`score_planes_parallel_durable`] with an explicit SIMD kernel
-/// selection. As with [`score_slabs_durable_with`], the kernel stays out
-/// of the job fingerprint — snapshots are portable across kernels.
-#[allow(clippy::too_many_arguments)]
-pub fn score_planes_parallel_durable_with(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-    ckpt: &CheckpointConfig<'_>,
-    resume: Option<&FrontierSnapshot>,
-    simd: SimdKernel,
-) -> Result<i32, DurableStop> {
-    let rk = simd.resolve();
-    let prof = slab_profiles(a, b, c, scoring, rk);
-    let prof16 = i16_profiles(a, b, c, scoring, rk);
-    let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
-    let (n1, n2, n3) = kernel.lens();
-    let e = Extents::new(n1, n2, n3);
-    let w2 = n2 + 1;
-    let plane_len = (n1 + 1) * w2;
-    // Shadows start invalid; a resumed sweep (which restores only the
-    // `i32` buffers) re-arms them within three cleanly narrowed planes.
-    let shadows = prof16.as_ref().map(|_| PlaneShadows::new(plane_len));
-    let fp = job_fingerprint(a, b, c, scoring, KernelKind::Planes);
-    let progress = |done: u64| CancelProgress {
-        cells_done: done,
-        cells_total: e.cells() as u64,
-    };
-
-    let mut buffers: [SharedGrid<i32>; 4] =
-        std::array::from_fn(|_| SharedGrid::new(plane_len, NEG_INF));
-    let (start, mut cells_done) = match resume {
-        None => (0usize, 0u64),
-        Some(s) => {
-            validate_resume(s, fp, KernelKind::Planes)?;
-            let next = s.next_index as usize;
-            if next >= e.num_planes() {
-                return Err(DurableStop::InvalidResume(ResumeError::Index));
-            }
-            let expect = next.min(3);
-            if s.buffers.len() != expect || s.buffers.iter().any(|b| b.len() != plane_len) {
-                return Err(DurableStop::InvalidResume(ResumeError::Shape));
-            }
-            // Restore plane p into its rotation slot p % 4; untouched
-            // slots keep the NEG_INF initialization, exactly as at plane
-            // `next` of a fresh run.
-            for (idx, buf) in s.buffers.iter().enumerate() {
-                let p = next - expect + idx;
-                let target = &buffers[p % 4];
-                for (si, &v) in buf.iter().enumerate() {
-                    // SAFETY: exclusive access — no worker threads yet.
-                    unsafe { target.set(si, v) };
-                }
-            }
-            (next, s.cells_done)
-        }
-    };
-
-    let mut cells: Vec<(usize, usize, usize)> = Vec::with_capacity(e.max_plane_len());
-    let mut pacer = Pacer::new(ckpt.policy);
-    for d in start..e.num_planes() {
-        if cancel.should_stop() {
-            return Err(DurableStop::Cancelled(progress(cells_done)));
-        }
-        if ckpt.drain_requested() {
-            store(ckpt, plane_snapshot(fp, d, cells_done, &mut buffers))?;
-            return Err(DurableStop::Drained(progress(cells_done)));
-        }
-        // The context only borrows; rebuilt per plane so the snapshot
-        // calls above/below can borrow the buffers mutably.
-        let ctx = PlaneCtx {
-            kernel: &kernel,
-            buffers: &buffers,
-            n1,
-            n3,
-            w2,
-            rk,
-            prof: prof.as_ref(),
-            prof16: prof16.as_ref(),
-            shadows: shadows.as_ref(),
-            scoring,
-            ra: a.residues(),
-            rb: b.residues(),
-            rc: c.residues(),
-        };
-        if let Some(sh) = &shadows {
-            sh.begin_plane(d);
-        }
-        cells_done += compute_plane(&ctx, None, &mut cells, e, d) as u64;
-        if d + 1 < e.num_planes() && pacer.due() {
-            store(ckpt, plane_snapshot(fp, d + 1, cells_done, &mut buffers))?;
-        }
-    }
-    let final_plane = (n1 + n2 + n3) % 4;
-    Ok(unsafe { buffers[final_plane].get(n1 * w2 + n2) })
-}
-
-/// Snapshot the `min(next, 3)` planes preceding `next`, oldest first.
-fn plane_snapshot(
-    fp: u64,
-    next: usize,
-    cells_done: u64,
-    buffers: &mut [SharedGrid<i32>; 4],
-) -> FrontierSnapshot {
-    let take = next.min(3);
-    let mut bufs = Vec::with_capacity(take);
-    for p in (next - take)..next {
-        bufs.push(buffers[p % 4].snapshot());
-    }
-    FrontierSnapshot {
-        fingerprint: fp,
-        kind: KernelKind::Planes.code(),
-        next_index: next as u32,
-        cells_done,
-        buffers: bufs,
-    }
-}
-
 /// Bytes of working memory the slab-rolling score pass needs (reported by
 /// the memory experiment).
 pub fn slab_memory_bytes(n2: usize, n3: usize) -> usize {
@@ -1052,11 +772,26 @@ pub fn plane_memory_bytes(n1: usize, n2: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
+    use crate::checkpoint::{job_fingerprint, CheckpointConfig, FrontierSnapshot};
     use crate::full;
     use crate::test_util::{family_triple, random_triple};
+    use KernelKind::{Planes, Slabs};
 
     fn s() -> Scoring {
         Scoring::dna_default()
+    }
+
+    fn plain(a: &Seq, b: &Seq, c: &Seq, kind: KernelKind) -> i32 {
+        score(a, b, c, &s(), kind, &RunCtx::default()).unwrap()
+    }
+
+    fn fwd(a: &Seq, b: &Seq, c: &Seq, kind: KernelKind) -> Face {
+        forward_face(a, b, c, &s(), kind, &RunCtx::default()).unwrap()
+    }
+
+    fn bwd(a: &Seq, b: &Seq, c: &Seq, kind: KernelKind) -> Face {
+        backward_face(a, b, c, &s(), kind, &RunCtx::default()).unwrap()
     }
 
     #[test]
@@ -1064,7 +799,7 @@ mod tests {
         for seed in 0..15 {
             let (a, b, c) = random_triple(seed, 12);
             assert_eq!(
-                score_slabs(&a, &b, &c, &s()),
+                plain(&a, &b, &c, Slabs),
                 full::align_score(&a, &b, &c, &s()),
                 "seed {seed}"
             );
@@ -1076,7 +811,7 @@ mod tests {
         for seed in 0..15 {
             let (a, b, c) = random_triple(seed + 40, 12);
             assert_eq!(
-                score_planes_parallel(&a, &b, &c, &s()),
+                plain(&a, &b, &c, Planes),
                 full::align_score(&a, &b, &c, &s()),
                 "seed {seed}"
             );
@@ -1086,8 +821,8 @@ mod tests {
     #[test]
     fn forward_face_matches_lattice_slice() {
         let (a, b, c) = random_triple(7, 10);
-        let lat = full::fill(&a, &b, &c, &s());
-        let face = forward_face(&a, &b, &c, &s());
+        let lat = full::fill(&a, &b, &c, &s(), &RunCtx::default()).unwrap();
+        let face = fwd(&a, &b, &c, Slabs);
         let w3 = c.len() + 1;
         for j in 0..=b.len() {
             for k in 0..=c.len() {
@@ -1101,8 +836,8 @@ mod tests {
         for seed in 0..10 {
             let (a, b, c) = random_triple(seed + 80, 14);
             assert_eq!(
-                forward_face_parallel(&a, &b, &c, &s()),
-                forward_face(&a, &b, &c, &s()),
+                fwd(&a, &b, &c, Planes),
+                fwd(&a, &b, &c, Slabs),
                 "seed {seed}"
             );
         }
@@ -1111,7 +846,7 @@ mod tests {
     #[test]
     fn backward_face_matches_suffix_alignments() {
         let (a, b, c) = random_triple(3, 8);
-        let face = backward_face(&a, &b, &c, &s());
+        let face = bwd(&a, &b, &c, Slabs);
         let w3 = c.len() + 1;
         for j in 0..=b.len() {
             for k in 0..=c.len() {
@@ -1129,10 +864,7 @@ mod tests {
     #[test]
     fn parallel_backward_face_equals_sequential() {
         let (a, b, c) = family_triple(21, 18);
-        assert_eq!(
-            backward_face_parallel(&a, &b, &c, &s()),
-            backward_face(&a, &b, &c, &s())
-        );
+        assert_eq!(bwd(&a, &b, &c, Planes), bwd(&a, &b, &c, Slabs));
     }
 
     #[test]
@@ -1144,8 +876,8 @@ mod tests {
         let mid = a.len() / 2;
         let a_lo = a.slice(0, mid);
         let a_hi = a.slice(mid, a.len());
-        let f = forward_face(&a_lo, &b, &c, &s());
-        let r = backward_face(&a_hi, &b, &c, &s());
+        let f = fwd(&a_lo, &b, &c, Slabs);
+        let r = bwd(&a_hi, &b, &c, Slabs);
         let combined = f.iter().zip(&r).map(|(x, y)| x + y).max().unwrap();
         assert_eq!(combined, full_score);
     }
@@ -1154,14 +886,14 @@ mod tests {
     fn empty_inputs() {
         let e = Seq::dna("").unwrap();
         let a = Seq::dna("ACGT").unwrap();
-        assert_eq!(score_slabs(&e, &e, &e, &s()), 0);
-        assert_eq!(score_planes_parallel(&e, &e, &e, &s()), 0);
+        assert_eq!(plain(&e, &e, &e, Slabs), 0);
+        assert_eq!(plain(&e, &e, &e, Planes), 0);
         assert_eq!(
-            score_slabs(&a, &e, &e, &s()),
+            plain(&a, &e, &e, Slabs),
             full::align_score(&a, &e, &e, &s())
         );
         assert_eq!(
-            score_planes_parallel(&e, &a, &e, &s()),
+            plain(&e, &a, &e, Planes),
             full::align_score(&e, &a, &e, &s())
         );
     }
@@ -1172,8 +904,8 @@ mod tests {
         // charges against A).
         let e = Seq::dna("").unwrap();
         let (_, b, c) = random_triple(11, 8);
-        let face = forward_face(&e, &b, &c, &s());
-        let lat = full::fill(&e, &b, &c, &s());
+        let face = fwd(&e, &b, &c, Slabs);
+        let lat = full::fill(&e, &b, &c, &s(), &RunCtx::default()).unwrap();
         let w3 = c.len() + 1;
         for j in 0..=b.len() {
             for k in 0..=c.len() {
@@ -1186,22 +918,21 @@ mod tests {
     fn cancellable_passes_without_cancel_match_plain() {
         let (a, b, c) = random_triple(51, 12);
         let token = CancelToken::never();
-        assert_eq!(
-            score_slabs_cancellable(&a, &b, &c, &s(), &token).unwrap(),
-            score_slabs(&a, &b, &c, &s())
-        );
-        assert_eq!(
-            score_planes_parallel_cancellable(&a, &b, &c, &s(), &token).unwrap(),
-            score_planes_parallel(&a, &b, &c, &s())
-        );
-        assert_eq!(
-            forward_face_parallel_cancellable(&a, &b, &c, &s(), &token).unwrap(),
-            forward_face(&a, &b, &c, &s())
-        );
-        assert_eq!(
-            backward_face_parallel_cancellable(&a, &b, &c, &s(), &token).unwrap(),
-            backward_face(&a, &b, &c, &s())
-        );
+        let ctx = RunCtx::default().cancel(&token);
+        for kind in [Slabs, Planes] {
+            assert_eq!(
+                score(&a, &b, &c, &s(), kind, &ctx).unwrap(),
+                plain(&a, &b, &c, kind)
+            );
+            assert_eq!(
+                forward_face(&a, &b, &c, &s(), kind, &ctx).unwrap(),
+                fwd(&a, &b, &c, Slabs)
+            );
+            assert_eq!(
+                backward_face(&a, &b, &c, &s(), kind, &ctx).unwrap(),
+                bwd(&a, &b, &c, Slabs)
+            );
+        }
     }
 
     #[test]
@@ -1209,20 +940,43 @@ mod tests {
         let (a, b, c) = random_triple(52, 12);
         let token = CancelToken::never();
         token.cancel();
-        let p = score_slabs_cancellable(&a, &b, &c, &s(), &token).unwrap_err();
-        assert_eq!(p.cells_done, 0);
-        let p = score_planes_parallel_cancellable(&a, &b, &c, &s(), &token).unwrap_err();
-        assert_eq!(p.cells_done, 0);
-        assert_eq!(
-            p.cells_total,
-            ((a.len() + 1) * (b.len() + 1) * (c.len() + 1)) as u64
-        );
+        let ctx = RunCtx::default().cancel(&token);
+        for kind in [Slabs, Planes] {
+            let Err(AlignError::Cancelled(p)) = score(&a, &b, &c, &s(), kind, &ctx) else {
+                panic!("{kind:?} did not stop");
+            };
+            assert_eq!(p.cells_done, 0);
+            assert_eq!(
+                p.cells_total,
+                ((a.len() + 1) * (b.len() + 1) * (c.len() + 1)) as u64
+            );
+        }
     }
 
     mod durable {
         use super::*;
         use crate::checkpoint::{CheckpointPolicy, CheckpointSink, MemorySink};
         use std::sync::atomic::{AtomicBool, Ordering};
+
+        /// The durable score of one sweep kind.
+        fn durable(
+            kind: KernelKind,
+            a: &Seq,
+            b: &Seq,
+            c: &Seq,
+            scoring: &Scoring,
+            ckpt: &CheckpointConfig<'_>,
+            resume: Option<&FrontierSnapshot>,
+        ) -> Result<i32, AlignError> {
+            score(
+                a,
+                b,
+                c,
+                scoring,
+                kind,
+                &RunCtx::default().durable(ckpt, resume),
+            )
+        }
 
         /// Forwards snapshots to an inner [`MemorySink`] and fires a drain
         /// flag after each store — the "interrupt at every checkpoint"
@@ -1240,27 +994,12 @@ mod tests {
             }
         }
 
-        type DurableFn = fn(
-            &Seq,
-            &Seq,
-            &Seq,
-            &Scoring,
-            &CancelToken,
-            &CheckpointConfig<'_>,
-            Option<&FrontierSnapshot>,
-        ) -> Result<i32, DurableStop>;
-
-        const KERNELS: [(DurableFn, &str); 2] = [
-            (score_slabs_durable, "slabs"),
-            (score_planes_parallel_durable, "planes"),
-        ];
-
-        /// Run `kernel` to completion, draining at every checkpoint and
+        /// Run the `kind` sweep to completion, draining at every checkpoint and
         /// resuming from the stored snapshot (round-tripped through the
         /// binary wire format) until it finishes. Returns the score and
         /// the number of interruptions survived.
         fn run_interrupted(
-            kernel: DurableFn,
+            kind: KernelKind,
             a: &Seq,
             b: &Seq,
             c: &Seq,
@@ -1269,7 +1008,6 @@ mod tests {
         ) -> (i32, u64) {
             let sink = MemorySink::new();
             let drain = AtomicBool::new(false);
-            let token = CancelToken::never();
             let mut interruptions = 0u64;
             let mut last_done = 0u64;
             loop {
@@ -1291,9 +1029,9 @@ mod tests {
                 let snap = sink
                     .last()
                     .map(|s| FrontierSnapshot::decode(&s.encode()).expect("round trip"));
-                match kernel(a, b, c, scoring, &token, &ckpt, snap.as_ref()) {
+                match durable(kind, a, b, c, scoring, &ckpt, snap.as_ref()) {
                     Ok(score) => return (score, interruptions),
-                    Err(DurableStop::Drained(p)) => {
+                    Err(AlignError::Drained(p)) => {
                         assert!(p.cells_done >= last_done, "progress went backwards");
                         last_done = p.cells_done;
                         interruptions += 1;
@@ -1307,16 +1045,15 @@ mod tests {
         fn durable_without_interruption_matches_plain() {
             let (a, b, c) = family_triple(61, 14);
             let sink = MemorySink::new();
-            let token = CancelToken::never();
             let ckpt = CheckpointConfig::new(&sink).every_planes(4);
             assert_eq!(
-                score_slabs_durable(&a, &b, &c, &s(), &token, &ckpt, None).unwrap(),
-                score_slabs(&a, &b, &c, &s())
+                durable(Slabs, &a, &b, &c, &s(), &ckpt, None).unwrap(),
+                plain(&a, &b, &c, Slabs)
             );
             assert!(sink.store_count() > 0, "periodic checkpoints must fire");
             assert_eq!(
-                score_planes_parallel_durable(&a, &b, &c, &s(), &token, &ckpt, None).unwrap(),
-                score_planes_parallel(&a, &b, &c, &s())
+                durable(Planes, &a, &b, &c, &s(), &ckpt, None).unwrap(),
+                plain(&a, &b, &c, Planes)
             );
         }
 
@@ -1325,13 +1062,13 @@ mod tests {
             for seed in 0..6 {
                 let (a, b, c) = random_triple(seed + 90, 12);
                 let reference = crate::full::align_score(&a, &b, &c, &s());
-                for (kernel, name) in KERNELS {
-                    let (score, interruptions) = run_interrupted(kernel, &a, &b, &c, &s(), 1);
-                    assert_eq!(score, reference, "{name} seed {seed}");
+                for kind in [Slabs, Planes] {
+                    let (score, interruptions) = run_interrupted(kind, &a, &b, &c, &s(), 1);
+                    assert_eq!(score, reference, "{kind:?} seed {seed}");
                     // Non-degenerate inputs must actually have been
                     // interrupted, or the harness proves nothing.
                     if a.len() + b.len() + c.len() > 4 {
-                        assert!(interruptions > 0, "{name} seed {seed} never drained");
+                        assert!(interruptions > 0, "{kind:?} seed {seed} never drained");
                     }
                 }
             }
@@ -1341,11 +1078,15 @@ mod tests {
         fn empty_inputs_are_durable_too() {
             let e = Seq::dna("").unwrap();
             let a = Seq::dna("ACGT").unwrap();
-            for (kernel, name) in KERNELS {
-                let (score, _) = run_interrupted(kernel, &e, &e, &e, &s(), 1);
-                assert_eq!(score, 0, "{name}");
-                let (score, _) = run_interrupted(kernel, &a, &e, &e, &s(), 1);
-                assert_eq!(score, crate::full::align_score(&a, &e, &e, &s()), "{name}");
+            for kind in [Slabs, Planes] {
+                let (score, _) = run_interrupted(kind, &e, &e, &e, &s(), 1);
+                assert_eq!(score, 0, "{kind:?}");
+                let (score, _) = run_interrupted(kind, &a, &e, &e, &s(), 1);
+                assert_eq!(
+                    score,
+                    crate::full::align_score(&a, &e, &e, &s()),
+                    "{kind:?}"
+                );
             }
         }
 
@@ -1355,32 +1096,31 @@ mod tests {
             let (d, _, _) = random_triple(71, 10);
             let sink = MemorySink::new();
             let drain = AtomicBool::new(true);
-            let token = CancelToken::never();
             let ckpt = CheckpointConfig::new(&sink).drain_flag(&drain);
-            for (kernel, name) in KERNELS {
+            for kind in [Slabs, Planes] {
                 // Produce a legitimate snapshot for (a, b, c)...
-                let err = kernel(&a, &b, &c, &s(), &token, &ckpt, None).unwrap_err();
-                assert!(matches!(err, DurableStop::Drained(_)), "{name}");
+                let err = durable(kind, &a, &b, &c, &s(), &ckpt, None).unwrap_err();
+                assert!(matches!(err, AlignError::Drained(_)), "{kind:?}");
                 let snap = sink.last().unwrap();
                 // ...and offer it to a different job.
                 drain.store(false, Ordering::Relaxed);
-                let err = kernel(&d, &b, &c, &s(), &token, &ckpt, Some(&snap)).unwrap_err();
+                let err = durable(kind, &d, &b, &c, &s(), &ckpt, Some(&snap)).unwrap_err();
                 assert!(
                     matches!(
                         err,
-                        DurableStop::InvalidResume(ResumeError::Fingerprint { .. })
+                        AlignError::InvalidResume(ResumeError::Fingerprint { .. })
                     ),
-                    "{name}: {err:?}"
+                    "{kind:?}: {err:?}"
                 );
                 // A different scoring scheme is also a fingerprint change.
                 let err =
-                    kernel(&a, &b, &c, &Scoring::unit(), &token, &ckpt, Some(&snap)).unwrap_err();
+                    durable(kind, &a, &b, &c, &Scoring::unit(), &ckpt, Some(&snap)).unwrap_err();
                 assert!(
                     matches!(
                         err,
-                        DurableStop::InvalidResume(ResumeError::Fingerprint { .. })
+                        AlignError::InvalidResume(ResumeError::Fingerprint { .. })
                     ),
-                    "{name}: {err:?}"
+                    "{kind:?}: {err:?}"
                 );
                 drain.store(true, Ordering::Relaxed);
             }
@@ -1391,30 +1131,24 @@ mod tests {
             let (a, b, c) = random_triple(72, 10);
             let sink = MemorySink::new();
             let drain = AtomicBool::new(true);
-            let token = CancelToken::never();
             let ckpt = CheckpointConfig::new(&sink).drain_flag(&drain);
-            let err = score_slabs_durable(&a, &b, &c, &s(), &token, &ckpt, None).unwrap_err();
-            assert!(matches!(err, DurableStop::Drained(_)));
+            let err = durable(Slabs, &a, &b, &c, &s(), &ckpt, None).unwrap_err();
+            assert!(matches!(err, AlignError::Drained(_)));
             let snap = sink.last().unwrap();
             drain.store(false, Ordering::Relaxed);
-            let err = score_planes_parallel_durable(&a, &b, &c, &s(), &token, &ckpt, Some(&snap))
-                .unwrap_err();
+            let err = durable(Planes, &a, &b, &c, &s(), &ckpt, Some(&snap)).unwrap_err();
             assert!(matches!(
                 err,
-                DurableStop::InvalidResume(ResumeError::Kind { .. })
+                AlignError::InvalidResume(ResumeError::Kind { .. })
             ));
         }
 
         #[test]
         fn malformed_shape_and_index_are_rejected() {
             let (a, b, c) = random_triple(73, 10);
-            let token = CancelToken::never();
             let sink = MemorySink::new();
             let ckpt = CheckpointConfig::new(&sink);
-            for (kernel, kind) in [
-                (KERNELS[0].0, KernelKind::Slabs),
-                (KERNELS[1].0, KernelKind::Planes),
-            ] {
+            for kind in [Slabs, Planes] {
                 let fp = job_fingerprint(&a, &b, &c, &s(), kind);
                 let bogus_index = FrontierSnapshot {
                     fingerprint: fp,
@@ -1424,8 +1158,8 @@ mod tests {
                     buffers: vec![],
                 };
                 assert!(matches!(
-                    kernel(&a, &b, &c, &s(), &token, &ckpt, Some(&bogus_index)).unwrap_err(),
-                    DurableStop::InvalidResume(ResumeError::Index)
+                    durable(kind, &a, &b, &c, &s(), &ckpt, Some(&bogus_index)).unwrap_err(),
+                    AlignError::InvalidResume(ResumeError::Index)
                 ));
                 let bogus_shape = FrontierSnapshot {
                     fingerprint: fp,
@@ -1435,8 +1169,8 @@ mod tests {
                     buffers: vec![vec![0; 3]],
                 };
                 assert!(matches!(
-                    kernel(&a, &b, &c, &s(), &token, &ckpt, Some(&bogus_shape)).unwrap_err(),
-                    DurableStop::InvalidResume(ResumeError::Shape)
+                    durable(kind, &a, &b, &c, &s(), &ckpt, Some(&bogus_shape)).unwrap_err(),
+                    AlignError::InvalidResume(ResumeError::Shape)
                 ));
             }
         }
@@ -1448,13 +1182,14 @@ mod tests {
             let ckpt = CheckpointConfig::new(&sink);
             let token = CancelToken::never();
             token.cancel();
-            for (kernel, name) in KERNELS {
+            let ctx = RunCtx::default().cancel(&token).durable(&ckpt, None);
+            for kind in [Slabs, Planes] {
                 assert!(
                     matches!(
-                        kernel(&a, &b, &c, &s(), &token, &ckpt, None).unwrap_err(),
-                        DurableStop::Cancelled(_)
+                        score(&a, &b, &c, &s(), kind, &ctx).unwrap_err(),
+                        AlignError::Cancelled(_)
                     ),
-                    "{name}"
+                    "{kind:?}"
                 );
             }
         }
@@ -1468,12 +1203,26 @@ mod tests {
                 }
             }
             let (a, b, c) = random_triple(75, 10);
-            let token = CancelToken::never();
             let ckpt = CheckpointConfig::new(&FailSink).every_planes(1);
-            for (kernel, name) in KERNELS {
-                let err = kernel(&a, &b, &c, &s(), &token, &ckpt, None).unwrap_err();
-                assert!(matches!(err, DurableStop::Sink(_)), "{name}: {err:?}");
+            for kind in [Slabs, Planes] {
+                let err = durable(kind, &a, &b, &c, &s(), &ckpt, None).unwrap_err();
+                assert!(matches!(err, AlignError::Sink(_)), "{kind:?}: {err:?}");
             }
+        }
+
+        #[test]
+        fn faces_ignore_a_durable_context() {
+            let (a, b, c) = random_triple(76, 10);
+            let sink = MemorySink::new();
+            let ckpt = CheckpointConfig::new(&sink).every_planes(1);
+            let ctx = RunCtx::default().durable(&ckpt, None);
+            for kind in [Slabs, Planes] {
+                assert_eq!(
+                    forward_face(&a, &b, &c, &s(), kind, &ctx).unwrap(),
+                    fwd(&a, &b, &c, kind)
+                );
+            }
+            assert_eq!(sink.store_count(), 0, "faces never checkpoint");
         }
     }
 

@@ -25,15 +25,17 @@
 //! polled between tile planes (authoritative — every started plane
 //! finishes) and again at every tile row of `a` for fast reaction.
 
-use crate::cancel::{CancelProgress, CancelToken};
+use crate::aligner::AlignError;
+use crate::cancel::CancelProgress;
 use crate::dp::{Kernel, NEG_INF};
-use crate::kernel::{slab_row, Profiles, ResolvedKernel, SimdKernel, SlabRow};
+use crate::kernel::{slab_row, Profiles, ResolvedKernel, SlabRow};
 use crate::kernel_i16::{I16Profiles, RowSel, SlabI16};
+use crate::run::{RunCtx, UNSTOPPABLE};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
-use tsa_wavefront::executor::{run_tiles_wavefront, run_tiles_wavefront_cancellable};
+use tsa_wavefront::executor::run_tiles_wavefront;
 use tsa_wavefront::plane::Extents;
 use tsa_wavefront::{SharedGrid, TileGrid};
 
@@ -42,51 +44,10 @@ use tsa_wavefront::{SharedGrid, TileGrid};
 /// (4·t² predecessor cells) stays cache-resident.
 pub const DEFAULT_TILE: usize = 32;
 
-/// Tile-wavefront score: `O(n³)` time, full lattice, rayon over tile
-/// anti-diagonal planes.
+/// Tile-wavefront score under the `auto` kernel: `O(n³)` time, full
+/// lattice, rayon over tile anti-diagonal planes.
 pub fn score_tiles(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring, tile: usize) -> i32 {
-    score_tiles_with(a, b, c, scoring, tile, SimdKernel::Auto)
-}
-
-/// [`score_tiles`] with an explicit SIMD kernel selection.
-pub fn score_tiles_with(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    tile: usize,
-    simd: SimdKernel,
-) -> i32 {
-    match tiles_pass(a, b, c, scoring, tile, None, simd.resolve()) {
-        Ok(score) => score,
-        Err(_) => unreachable!("no token, no cancellation"),
-    }
-}
-
-/// Like [`score_tiles`], but polls `cancel` between tile planes and at
-/// every tile row.
-pub fn score_tiles_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    tile: usize,
-    cancel: &CancelToken,
-) -> Result<i32, CancelProgress> {
-    score_tiles_cancellable_with(a, b, c, scoring, tile, cancel, SimdKernel::Auto)
-}
-
-/// [`score_tiles_cancellable`] with an explicit SIMD kernel selection.
-pub fn score_tiles_cancellable_with(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    tile: usize,
-    cancel: &CancelToken,
-    simd: SimdKernel,
-) -> Result<i32, CancelProgress> {
-    tiles_pass(a, b, c, scoring, tile, Some(cancel), simd.resolve())
+    score(a, b, c, scoring, tile, &RunCtx::default()).expect(UNSTOPPABLE)
 }
 
 /// Loop-invariant context of one tile sweep, shared by every tile worker.
@@ -101,17 +62,23 @@ struct TileCtx<'a> {
     g2: i32,
     ra: &'a [u8],
     rb: &'a [u8],
+    /// Polled before every tile row.
+    run: &'a RunCtx<'a>,
 }
 
-fn tiles_pass(
+/// Tile-wavefront score with `ctx`'s SIMD kernel inside each tile. The
+/// token is polled between tile planes (authoritative — every started
+/// plane finishes) and at every tile row of `a` for fast reaction. A
+/// `tile` of 0 is treated as 1.
+pub fn score(
     a: &Seq,
     b: &Seq,
     c: &Seq,
     scoring: &Scoring,
     tile: usize,
-    cancel: Option<&CancelToken>,
-    rk: ResolvedKernel,
-) -> Result<i32, CancelProgress> {
+    ctx: &RunCtx<'_>,
+) -> Result<i32, AlignError> {
+    let rk = ctx.kernel.resolve();
     let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
     let (n1, n2, n3) = kernel.lens();
     let e = Extents::new(n1, n2, n3);
@@ -123,7 +90,7 @@ fn tiles_pass(
         .is_i16()
         .then(|| I16Profiles::new(scoring, a.residues(), b.residues(), c.residues()))
         .flatten();
-    let ctx = TileCtx {
+    let tctx = TileCtx {
         kernel: &kernel,
         grid: &grid,
         e,
@@ -134,31 +101,24 @@ fn tiles_pass(
         g2: 2 * scoring.gap_linear(),
         ra: a.residues(),
         rb: b.residues(),
+        run: ctx,
     };
     let counted = AtomicU64::new(0);
-    let run = |ti: usize, tj: usize, tk: usize| compute_tile(&ctx, ti, tj, tk, cancel, &counted);
-    let completed = match cancel {
-        None => {
-            run_tiles_wavefront(&tg, run);
-            true
-        }
-        // The executor polls between tile planes, but a token firing
-        // *during* a plane makes `compute_tile` bail mid-tile — the plane
-        // then "finishes" with holes. Only a full cell count proves the
-        // destination cell was written.
-        Some(t) => {
-            run_tiles_wavefront_cancellable(&tg, run, || t.should_stop()).is_ok()
-                && counted.load(Ordering::Relaxed) == e.cells() as u64
-        }
-    };
+    let run = |ti: usize, tj: usize, tk: usize| compute_tile(&tctx, ti, tj, tk, &counted);
+    // The executor polls between tile planes, but a token firing *during*
+    // a plane makes `compute_tile` bail mid-tile — the plane then
+    // "finishes" with holes. Only a full cell count proves the
+    // destination cell was written.
+    let completed = run_tiles_wavefront(&tg, run, || ctx.should_stop()).is_ok()
+        && counted.load(Ordering::Relaxed) == e.cells() as u64;
     if completed {
         // SAFETY: the sweep has finished; exclusive access.
         Ok(unsafe { grid.get(e.index(n1, n2, n3)) })
     } else {
-        Err(CancelProgress {
+        Err(AlignError::Cancelled(CancelProgress {
             cells_done: counted.load(Ordering::Relaxed),
             cells_total: e.cells() as u64,
-        })
+        }))
     }
 }
 
@@ -172,17 +132,10 @@ thread_local! {
 }
 
 /// Compute every cell of tile `(ti, tj, tk)`, adding finished tile rows to
-/// `counted`. Checks `cancel` before each row of `a` within the tile and
-/// returns early (leaving the tile incomplete) when it fires — the caller
-/// stops the sweep before anything reads the partial tile.
-fn compute_tile(
-    ctx: &TileCtx<'_>,
-    ti: usize,
-    tj: usize,
-    tk: usize,
-    cancel: Option<&CancelToken>,
-    counted: &AtomicU64,
-) {
+/// `counted`. Polls the run's token before each row of `a` within the
+/// tile and returns early (leaving the tile incomplete) when it fires —
+/// the caller stops the sweep before anything reads the partial tile.
+fn compute_tile(ctx: &TileCtx<'_>, ti: usize, tj: usize, tk: usize, counted: &AtomicU64) {
     let ((ilo, ihi), (jlo, jhi), (klo, khi)) = ctx.tg.cell_ranges(ti, tj, tk);
     let TileCtx {
         kernel, grid, e, ..
@@ -199,7 +152,7 @@ fn compute_tile(
     let row_cells = ((jhi - jlo + 1) * (khi - klo + 1)) as u64;
     let Some(prof) = ctx.prof else {
         for i in ilo..=ihi {
-            if cancel.is_some_and(CancelToken::should_stop) {
+            if ctx.run.should_stop() {
                 return;
             }
             for j in jlo..=jhi {
@@ -230,7 +183,7 @@ fn compute_tile(
             }
             let mut slab16 = slab_store.as_mut().map(|(_, s)| s);
             for i in ilo..=ihi {
-                if cancel.is_some_and(CancelToken::should_stop) {
+                if ctx.run.should_stop() {
                     return;
                 }
                 if i == 0 {
@@ -307,11 +260,16 @@ fn compute_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::score_only::score_slabs;
+    use crate::cancel::CancelToken;
+    use crate::kernel::SimdKernel;
     use crate::test_util::{family_triple, random_triple};
 
     fn s() -> Scoring {
         Scoring::dna_default()
+    }
+
+    fn score_slabs(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> i32 {
+        crate::score_only::score_slabs_with(a, b, c, scoring, SimdKernel::Auto)
     }
 
     #[test]
@@ -340,7 +298,7 @@ mod tests {
             }
             for tile in [8, 32] {
                 assert_eq!(
-                    score_tiles_with(&a, &b, &c, &s(), tile, simd),
+                    score(&a, &b, &c, &s(), tile, &RunCtx::default().kernel(simd)).unwrap(),
                     want,
                     "kernel {name} tile {tile}"
                 );
@@ -382,7 +340,7 @@ mod tests {
         let (a, b, c) = family_triple(17, 20);
         let token = CancelToken::never();
         assert_eq!(
-            score_tiles_cancellable(&a, &b, &c, &s(), 8, &token).unwrap(),
+            score(&a, &b, &c, &s(), 8, &RunCtx::default().cancel(&token)).unwrap(),
             score_tiles(&a, &b, &c, &s(), 8)
         );
     }
@@ -392,7 +350,10 @@ mod tests {
         let (a, b, c) = random_triple(53, 12);
         let token = CancelToken::never();
         token.cancel();
-        let p = score_tiles_cancellable(&a, &b, &c, &s(), 8, &token).unwrap_err();
+        let ctx = RunCtx::default().cancel(&token);
+        let Err(AlignError::Cancelled(p)) = score(&a, &b, &c, &s(), 8, &ctx) else {
+            panic!("a fired token must stop the sweep");
+        };
         assert_eq!(p.cells_done, 0);
         assert_eq!(
             p.cells_total,

@@ -8,137 +8,99 @@
 //! *bit-identical* to the sequential fill because the recurrence is a pure
 //! max over the same inputs.
 
+use crate::aligner::AlignError;
 use crate::alignment::Alignment3;
-use crate::cancel::{CancelProgress, CancelToken};
+use crate::cancel::CancelProgress;
 use crate::dp::{Kernel, NEG_INF};
 use crate::full::{traceback, Lattice};
+use crate::run::{RunCtx, UNSTOPPABLE};
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
-use tsa_wavefront::executor::{
-    run_cells_wavefront, run_cells_wavefront_cancellable, run_cells_wavefront_profiled,
-};
+use tsa_wavefront::executor::{run_cells_wavefront, run_cells_wavefront_profiled};
 use tsa_wavefront::plane::Extents;
 use tsa_wavefront::{PlaneProfile, SharedGrid};
 
-/// Fill the full lattice with plane-parallel execution.
-pub fn fill(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Lattice {
-    let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
-    let (n1, n2, n3) = kernel.lens();
-    let e = Extents::new(n1, n2, n3);
-    let grid: SharedGrid<i32> = SharedGrid::new(e.cells(), NEG_INF);
+/// The lattice being filled and the kernel that fills it, shared by the
+/// plain and the profiled executor.
+struct LatticeFill<'a> {
+    kernel: Kernel<'a>,
+    e: Extents,
+    grid: SharedGrid<i32>,
+}
 
-    // SAFETY: each plane cell is written by exactly one kernel invocation
-    // (plane cells are distinct lattice cells); all reads target cells on
-    // planes d−1..d−3, completed before this plane starts (the executor
-    // joins between planes).
-    run_cells_wavefront(e, |i, j, k| {
-        let v = kernel.cell(i, j, k, |pi, pj, pk| unsafe {
+impl<'a> LatticeFill<'a> {
+    fn new(a: &'a Seq, b: &'a Seq, c: &'a Seq, scoring: &'a Scoring) -> Self {
+        let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
+        let (n1, n2, n3) = kernel.lens();
+        let e = Extents::new(n1, n2, n3);
+        LatticeFill {
+            kernel,
+            e,
+            grid: SharedGrid::new(e.cells(), NEG_INF),
+        }
+    }
+
+    /// Compute cell `(i, j, k)`.
+    ///
+    /// SAFETY (of the executors' contract): each plane cell is written by
+    /// exactly one call (plane cells are distinct lattice cells); all reads
+    /// target cells on planes d−1..d−3, completed before this plane starts
+    /// (the executor joins between planes and only stops *between* them).
+    #[inline(always)]
+    fn cell(&self, i: usize, j: usize, k: usize) {
+        let (e, grid) = (self.e, &self.grid);
+        let v = self.kernel.cell(i, j, k, |pi, pj, pk| unsafe {
             grid.get(e.index(pi, pj, pk))
         });
         unsafe { grid.set(e.index(i, j, k), v) };
-    });
+    }
 
-    Lattice {
-        scores: grid.into_vec(),
-        extents: e,
+    fn into_lattice(self) -> Lattice {
+        Lattice {
+            scores: self.grid.into_vec(),
+            extents: self.e,
+        }
     }
 }
 
-/// Like [`fill`], but captures a per-plane [`PlaneProfile`] alongside the
-/// lattice. The scores are identical to [`fill`]'s — only the executor's
-/// intra-plane task split differs (explicit per-worker chunks, so each
-/// task can be timed), which the plane-disjointness contract makes
-/// observationally irrelevant.
-pub fn fill_profiled(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> (Lattice, PlaneProfile) {
-    let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
-    let (n1, n2, n3) = kernel.lens();
-    let e = Extents::new(n1, n2, n3);
-    let grid: SharedGrid<i32> = SharedGrid::new(e.cells(), NEG_INF);
-
-    // SAFETY: same plane-disjointness contract as [`fill`].
-    let profile = run_cells_wavefront_profiled(e, |i, j, k| {
-        let v = kernel.cell(i, j, k, |pi, pj, pk| unsafe {
-            grid.get(e.index(pi, pj, pk))
-        });
-        unsafe { grid.set(e.index(i, j, k), v) };
-    });
-
-    (
-        Lattice {
-            scores: grid.into_vec(),
-            extents: e,
+/// Fill the full lattice with plane-parallel execution, polling `ctx`'s
+/// token between anti-diagonal planes; a fired token aborts the sweep
+/// within one plane and reports progress.
+pub fn fill(
+    a: &Seq,
+    b: &Seq,
+    c: &Seq,
+    scoring: &Scoring,
+    ctx: &RunCtx<'_>,
+) -> Result<Lattice, AlignError> {
+    let lf = LatticeFill::new(a, b, c, scoring);
+    let cells_total = lf.e.cells() as u64;
+    run_cells_wavefront(lf.e, |i, j, k| lf.cell(i, j, k), || ctx.should_stop()).map_err(
+        |cells_done| {
+            AlignError::Cancelled(CancelProgress {
+                cells_done,
+                cells_total,
+            })
         },
-        profile,
-    )
+    )?;
+    Ok(lf.into_lattice())
 }
 
 /// Optimal alignment via the profiled parallel fill; returns the
-/// alignment plus the per-plane timing profile.
+/// alignment plus the per-plane timing profile. The scores are identical
+/// to [`fill`]'s — only the executor's intra-plane task split differs
+/// (explicit per-worker chunks, so each task can be timed), which the
+/// plane-disjointness contract makes observationally irrelevant.
 pub fn align_profiled(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> (Alignment3, PlaneProfile) {
-    let (lat, profile) = fill_profiled(a, b, c, scoring);
-    (traceback(&lat, a, b, c, scoring), profile)
-}
-
-/// Like [`fill`], but polls `cancel` between anti-diagonal planes; a
-/// fired token aborts the sweep within one plane and reports progress.
-pub fn fill_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-) -> Result<Lattice, CancelProgress> {
-    let kernel = Kernel::new(a.residues(), b.residues(), c.residues(), scoring);
-    let (n1, n2, n3) = kernel.lens();
-    let e = Extents::new(n1, n2, n3);
-    let grid: SharedGrid<i32> = SharedGrid::new(e.cells(), NEG_INF);
-
-    // SAFETY: same plane-disjointness contract as [`fill`]; the executor
-    // only ever stops *between* planes, so every read still targets a
-    // fully completed plane.
-    run_cells_wavefront_cancellable(
-        e,
-        |i, j, k| {
-            let v = kernel.cell(i, j, k, |pi, pj, pk| unsafe {
-                grid.get(e.index(pi, pj, pk))
-            });
-            unsafe { grid.set(e.index(i, j, k), v) };
-        },
-        || cancel.should_stop(),
-    )
-    .map_err(|cells_done| CancelProgress {
-        cells_done,
-        cells_total: e.cells() as u64,
-    })?;
-
-    Ok(Lattice {
-        scores: grid.into_vec(),
-        extents: e,
-    })
-}
-
-/// Like [`align`], but the fill aborts within one anti-diagonal plane of
-/// the token firing.
-pub fn align_cancellable(
-    a: &Seq,
-    b: &Seq,
-    c: &Seq,
-    scoring: &Scoring,
-    cancel: &CancelToken,
-) -> Result<Alignment3, CancelProgress> {
-    let lat = fill_cancellable(a, b, c, scoring, cancel)?;
-    Ok(traceback(&lat, a, b, c, scoring))
+    let lf = LatticeFill::new(a, b, c, scoring);
+    let profile = run_cells_wavefront_profiled(lf.e, |i, j, k| lf.cell(i, j, k));
+    (traceback(&lf.into_lattice(), a, b, c, scoring), profile)
 }
 
 /// Optimal three-sequence alignment via the parallel wavefront fill.
 pub fn align(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> Alignment3 {
-    let lat = fill(a, b, c, scoring);
+    let lat = fill(a, b, c, scoring, &RunCtx::default()).expect(UNSTOPPABLE);
     traceback(&lat, a, b, c, scoring)
-}
-
-/// Parallel-fill optimal score.
-pub fn align_score(a: &Seq, b: &Seq, c: &Seq, scoring: &Scoring) -> i32 {
-    fill(a, b, c, scoring).final_score()
 }
 
 #[cfg(test)]
@@ -155,8 +117,8 @@ mod tests {
     fn lattice_is_bit_identical_to_sequential() {
         for seed in 0..10 {
             let (a, b, c) = random_triple(seed, 14);
-            let seq_lat = full::fill(&a, &b, &c, &s());
-            let par_lat = fill(&a, &b, &c, &s());
+            let seq_lat = full::fill(&a, &b, &c, &s(), &RunCtx::default()).unwrap();
+            let par_lat = fill(&a, &b, &c, &s(), &RunCtx::default()).unwrap();
             assert_eq!(seq_lat.scores, par_lat.scores, "seed {seed}");
         }
     }
@@ -176,7 +138,7 @@ mod tests {
     fn family_workload_matches() {
         let (a, b, c) = family_triple(99, 32);
         assert_eq!(
-            align_score(&a, &b, &c, &s()),
+            align(&a, &b, &c, &s()).score,
             full::align_score(&a, &b, &c, &s())
         );
     }
@@ -185,13 +147,13 @@ mod tests {
     fn empty_and_degenerate_inputs() {
         let e = Seq::dna("").unwrap();
         let a = Seq::dna("ACGT").unwrap();
-        assert_eq!(align_score(&e, &e, &e, &s()), 0);
+        assert_eq!(align(&e, &e, &e, &s()).score, 0);
         assert_eq!(
-            align_score(&a, &e, &e, &s()),
+            align(&a, &e, &e, &s()).score,
             full::align_score(&a, &e, &e, &s())
         );
         assert_eq!(
-            align_score(&a, &a, &e, &s()),
+            align(&a, &a, &e, &s()).score,
             full::align_score(&a, &a, &e, &s())
         );
     }
@@ -202,30 +164,28 @@ mod tests {
         // the executor's sequential threshold.
         let (a, b, c) = family_triple(5, 40);
         assert_eq!(
-            align_score(&a, &b, &c, &s()),
+            align(&a, &b, &c, &s()).score,
             full::align_score(&a, &b, &c, &s())
         );
     }
 
     #[test]
-    fn profiled_fill_is_bit_identical_and_accounts_for_all_cells() {
+    fn profiled_align_is_identical_and_accounts_for_all_cells() {
         let (a, b, c) = family_triple(7, 24);
-        let (lat, profile) = fill_profiled(&a, &b, &c, &s());
-        assert_eq!(lat.scores, full::fill(&a, &b, &c, &s()).scores);
-        assert_eq!(profile.total_items(), lat.extents.cells() as u64);
-        assert_eq!(profile.samples.len(), lat.extents.num_planes());
-        let (al, _) = align_profiled(&a, &b, &c, &s());
+        let (al, profile) = align_profiled(&a, &b, &c, &s());
         assert_eq!(al, full::align(&a, &b, &c, &s()));
+        let e = Extents::new(a.len(), b.len(), c.len());
+        assert_eq!(profile.total_items(), e.cells() as u64);
+        assert_eq!(profile.samples.len(), e.num_planes());
     }
 
     #[test]
-    fn cancellable_fill_without_cancel_is_bit_identical() {
+    fn fill_with_unfired_token_is_bit_identical() {
         let (a, b, c) = random_triple(4, 14);
         let token = crate::CancelToken::never();
-        let lat = fill_cancellable(&a, &b, &c, &s(), &token).unwrap();
-        assert_eq!(lat.scores, full::fill(&a, &b, &c, &s()).scores);
-        let al = align_cancellable(&a, &b, &c, &s(), &token).unwrap();
-        assert_eq!(al, full::align(&a, &b, &c, &s()));
+        let lat = fill(&a, &b, &c, &s(), &RunCtx::default().cancel(&token)).unwrap();
+        let plain = full::fill(&a, &b, &c, &s(), &RunCtx::default()).unwrap();
+        assert_eq!(lat.scores, plain.scores);
     }
 
     #[test]
@@ -233,7 +193,10 @@ mod tests {
         let (a, b, c) = random_triple(6, 14);
         let token = crate::CancelToken::never();
         token.cancel();
-        let p = fill_cancellable(&a, &b, &c, &s(), &token).unwrap_err();
+        let ctx = RunCtx::default().cancel(&token);
+        let Err(AlignError::Cancelled(p)) = fill(&a, &b, &c, &s(), &ctx) else {
+            panic!("a fired token must stop the fill");
+        };
         assert_eq!(p.cells_done, 0);
         assert!(p.cells_total > 0);
     }

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use tsa_core::checkpoint::{
     CheckpointConfig, CheckpointPolicy, CheckpointSink, FrontierSnapshot, MemorySink,
 };
-use tsa_core::{Algorithm, Aligner, CancelToken, DurableStop};
+use tsa_core::{Algorithm, AlignError, Aligner, CancelToken, RunCtx, Task};
 use tsa_scoring::{GapModel, Scoring};
 use tsa_seq::Seq;
 
@@ -83,9 +83,12 @@ fn run_interrupted(
         let snap = sink
             .last()
             .map(|s| FrontierSnapshot::decode(&s.encode()).expect("snapshot round trip"));
-        match aligner.score3_durable(a, b, c, &token, &ckpt, snap.as_ref()) {
-            Ok(score) => return (score, interruptions),
-            Err(DurableStop::Drained(_)) => interruptions += 1,
+        let ctx = RunCtx::default()
+            .cancel(&token)
+            .durable(&ckpt, snap.as_ref());
+        match aligner.run(a, b, c, Task::Score, &ctx) {
+            Ok((score, _)) => return (score, interruptions),
+            Err(AlignError::Drained(_)) => interruptions += 1,
             Err(e) => panic!("unexpected stop: {e}"),
         }
     }

@@ -11,10 +11,11 @@
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
+use tsa_core::checkpoint::KernelKind;
 use tsa_core::checkpoint::{
     CheckpointConfig, CheckpointPolicy, CheckpointSink, FrontierSnapshot, MemorySink,
 };
-use tsa_core::{score_only, Algorithm, Aligner, CancelToken, DurableStop, SimdKernel};
+use tsa_core::{score_only, Algorithm, AlignError, Aligner, CancelToken, RunCtx, SimdKernel, Task};
 use tsa_scoring::{GapModel, Scoring, SubstMatrix};
 use tsa_seq::Seq;
 
@@ -102,15 +103,12 @@ proptest! {
         let reference = score_only::score_slabs_with(&a, &b, &c, &scoring, SimdKernel::Scalar);
         let token = CancelToken::never();
         for k in KERNELS {
-            let slab =
-                score_only::score_slabs_cancellable_with(&a, &b, &c, &scoring, &token, k)
+            let ctx = RunCtx::default().kernel(k).cancel(&token);
+            for kind in [KernelKind::Slabs, KernelKind::Planes] {
+                let score = score_only::score(&a, &b, &c, &scoring, kind, &ctx)
                     .expect("never cancelled");
-            prop_assert_eq!(slab, reference);
-            let plane = score_only::score_planes_parallel_cancellable_with(
-                &a, &b, &c, &scoring, &token, k,
-            )
-            .expect("never cancelled");
-            prop_assert_eq!(plane, reference);
+                prop_assert_eq!(score, reference);
+            }
         }
     }
 }
@@ -152,6 +150,24 @@ fn aligner_kernel_knob_is_score_invariant() {
                 .score3(&a, &b, &c)
                 .unwrap();
             assert_eq!(score, reference, "{alg:?} under {k}");
+        }
+    }
+    // The knob also drives the faces of the divide-and-conquer aligners:
+    // every kernel must yield the identical alignment.
+    for alg in [Algorithm::Hirschberg, Algorithm::ParallelHirschberg] {
+        let reference = Aligner::new()
+            .algorithm(alg)
+            .kernel(SimdKernel::Scalar)
+            .align3(&a, &b, &c)
+            .unwrap();
+        for k in KERNELS {
+            let aln = Aligner::new()
+                .algorithm(alg)
+                .kernel(k)
+                .align3(&a, &b, &c)
+                .unwrap();
+            assert_eq!(aln.columns, reference.columns, "{alg:?} under {k}");
+            assert_eq!(aln.score, reference.score, "{alg:?} under {k}");
         }
     }
 }
@@ -278,9 +294,12 @@ fn durable_snapshots_are_portable_across_kernels() {
                 .scoring(scoring.clone())
                 .algorithm(alg)
                 .kernel(kernel);
-            match aligner.score3_durable(&a, &b, &c, &token, &ckpt, snap.as_ref()) {
-                Ok(score) => break score,
-                Err(DurableStop::Drained(_)) => continue,
+            let ctx = RunCtx::default()
+                .cancel(&token)
+                .durable(&ckpt, snap.as_ref());
+            match aligner.run(&a, &b, &c, Task::Score, &ctx) {
+                Ok((score, _)) => break score,
+                Err(AlignError::Drained(_)) => continue,
                 Err(e) => panic!("unexpected stop: {e}"),
             }
         };

@@ -9,7 +9,9 @@
 use std::time::Duration;
 
 use proptest::prelude::*;
-use tsa_core::{score_only, tiled, Algorithm, Aligner, CancelToken, SimdKernel};
+use tsa_core::{
+    score_only, tiled, Algorithm, AlignError, Aligner, CancelToken, RunCtx, SimdKernel,
+};
 use tsa_scoring::Scoring;
 use tsa_seq::Seq;
 
@@ -56,7 +58,8 @@ proptest! {
             SimdKernel::Avx2I16,
             SimdKernel::Auto,
         ] {
-            let tiled_score = tiled::score_tiles_with(&a, &b, &c, &scoring, tile, k);
+            let tiled_score = tiled::score(&a, &b, &c, &scoring, tile, &RunCtx::default().kernel(k))
+                .expect("no token");
             prop_assert_eq!(
                 tiled_score,
                 reference,
@@ -93,13 +96,14 @@ proptest! {
         let reference =
             score_only::score_planes_parallel_with(&a, &b, &c, &scoring, SimdKernel::Scalar);
         let token = CancelToken::with_timeout(Duration::from_micros(delay_us));
-        match tiled::score_tiles_cancellable(&a, &b, &c, &scoring, tile, &token) {
+        match tiled::score(&a, &b, &c, &scoring, tile, &RunCtx::default().cancel(&token)) {
             Ok(score) => prop_assert_eq!(score, reference),
-            Err(progress) => {
+            Err(AlignError::Cancelled(progress)) => {
                 prop_assert!(progress.cells_done <= progress.cells_total);
                 let lattice = ((a.len() + 1) * (b.len() + 1) * (c.len() + 1)) as u64;
                 prop_assert_eq!(progress.cells_total, lattice);
             }
+            Err(e) => panic!("unexpected stop: {e}"),
         }
         // Fresh run after the (possible) cancellation still agrees.
         prop_assert_eq!(tiled::score_tiles(&a, &b, &c, &scoring, tile), reference);
@@ -115,8 +119,10 @@ fn pre_fired_token_stops_before_the_first_tile() {
     let scoring = Scoring::dna_default();
     let token = CancelToken::never();
     token.cancel();
-    let progress = tiled::score_tiles_cancellable(&a, &b, &c, &scoring, 8, &token)
-        .expect_err("fired token must interrupt");
+    let ctx = RunCtx::default().cancel(&token);
+    let Err(AlignError::Cancelled(progress)) = tiled::score(&a, &b, &c, &scoring, 8, &ctx) else {
+        panic!("fired token must interrupt");
+    };
     assert_eq!(progress.cells_done, 0, "no tile may have completed");
     assert!(progress.cells_total > 0);
 }

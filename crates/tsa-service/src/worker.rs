@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tsa_core::{
     Algorithm, AlignError, Aligner, Alignment3, CancelProgress, CancelToken, CheckpointConfig,
-    DurableStop, FrontierSnapshot, SimdKernel,
+    FrontierSnapshot, RunCtx, SimdKernel, Task,
 };
 use tsa_obs::Span;
 use tsa_scoring::Scoring;
@@ -305,13 +305,6 @@ fn cancellable_sleep(total: Duration, cancel: &CancelToken) -> Result<(), AlignE
     }
 }
 
-/// Why the kernel closure stopped: an aligner error (plain path) or a
-/// durable stop (checkpointing path).
-enum KernelErr {
-    Align(AlignError),
-    Stop(DurableStop),
-}
-
 fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOutcome {
     let wait = job.submitted.elapsed();
     // Close the `queued` stage: a worker now owns the job.
@@ -420,7 +413,12 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
         .then(|| (d.handle.sink_for(&d.uid), Arc::clone(&d.handle)))
     });
     let resume = job.durable.as_mut().and_then(|d| d.resume.take());
-    let kernel = || -> Result<(i32, Option<Alignment3>), KernelErr> {
+    let task = if job.score_only {
+        Task::Score
+    } else {
+        Task::Align
+    };
+    let kernel = || -> Result<(i32, Option<Alignment3>), AlignError> {
         if faults::wants_panic(&tag) {
             panic!("injected kernel panic");
         }
@@ -428,35 +426,27 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
             panic!("injected flap failure");
         }
         if let Some(delay) = faults::delay_of(&tag) {
-            cancellable_sleep(delay, &cancel).map_err(KernelErr::Align)?;
+            cancellable_sleep(delay, &cancel)?;
         }
-        if let Some((sink, handle)) = &durable_run {
-            let ckpt = CheckpointConfig {
-                sink,
-                policy: handle.policy,
-                drain: Some(&handle.drain),
+        let ckpt = durable_run.as_ref().map(|(sink, handle)| CheckpointConfig {
+            sink,
+            policy: handle.policy,
+            drain: Some(&handle.drain),
+        });
+        let run = |snap: Option<&FrontierSnapshot>| {
+            let ctx = RunCtx::default().cancel(&cancel);
+            let ctx = match &ckpt {
+                Some(ckpt) => ctx.durable(ckpt, snap),
+                None => ctx,
             };
-            let run = |snap: Option<&FrontierSnapshot>| {
-                aligner.score3_durable(&job.a, &job.b, &job.c, &cancel, &ckpt, snap)
-            };
-            let result = match run(resume.as_ref()) {
-                // Startup pre-validation can miss shape drift (e.g. a
-                // governor downgrade changed the kernel since the
-                // snapshot): re-run cleanly rather than failing the job.
-                Err(DurableStop::InvalidResume(_)) => run(None),
-                other => other,
-            };
-            result.map(|score| (score, None)).map_err(KernelErr::Stop)
-        } else if job.score_only {
-            aligner
-                .score3_cancellable(&job.a, &job.b, &job.c, &cancel)
-                .map(|score| (score, None))
-                .map_err(KernelErr::Align)
-        } else {
-            aligner
-                .align3_cancellable(&job.a, &job.b, &job.c, &cancel)
-                .map(|aln| (aln.score, Some(aln)))
-                .map_err(KernelErr::Align)
+            aligner.run(&job.a, &job.b, &job.c, task, &ctx)
+        };
+        match run(resume.as_ref()) {
+            // Startup pre-validation can miss shape drift (e.g. a
+            // governor downgrade changed the kernel since the
+            // snapshot): re-run cleanly rather than failing the job.
+            Err(AlignError::InvalidResume(_)) => run(None),
+            other => other,
         }
     };
     // What the CPU actually runs for this request (degradation applied).
@@ -491,8 +481,7 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
     let (score, alignment) = match computed {
         Ok(r) => r,
         // The cancellation token stopped the DP loop between planes.
-        Err(KernelErr::Align(AlignError::Cancelled(progress)))
-        | Err(KernelErr::Stop(DurableStop::Cancelled(progress))) => {
+        Err(AlignError::Cancelled(progress)) => {
             stats.cancelled.inc();
             return if job.cancel.is_cancelled() {
                 job.annotate("cancelled_at", "kernel");
@@ -509,26 +498,21 @@ fn serve_one(job: &mut Job, cache: &ResultCache, stats: &ServiceStats) -> JobOut
         }
         // The drain flag stopped a durable kernel after it persisted a
         // final snapshot: the job stays in-flight and resumes next start.
-        Err(KernelErr::Stop(DurableStop::Drained(progress))) => {
+        Err(AlignError::Drained(progress)) => {
             stats.cancelled.inc();
             job.annotate("drained", true);
             return JobOutcome::Cancelled {
                 progress: Some(progress),
             };
         }
-        Err(KernelErr::Stop(DurableStop::Sink(msg))) => {
+        Err(AlignError::Sink(msg)) => {
             stats.failed.inc();
             job.annotate("error", msg.as_str());
             return JobOutcome::Failed(format!("checkpoint sink failed: {msg}"));
         }
-        Err(KernelErr::Align(e)) => {
-            stats.failed.inc();
-            job.annotate("error", e.to_string());
-            return JobOutcome::Failed(e.to_string());
-        }
         // Config errors, or an InvalidResume that survived the clean
         // re-run fallback (cannot happen in practice).
-        Err(KernelErr::Stop(e)) => {
+        Err(e) => {
             stats.failed.inc();
             job.annotate("error", e.to_string());
             return JobOutcome::Failed(e.to_string());

@@ -7,11 +7,17 @@
 //! [`rayon::ThreadPool::install`] (the bench harness builds one pool per
 //! measured thread count).
 //!
+//! There is one cell-barrier executor ([`run_cells_wavefront`]) and one
+//! tile-barrier executor ([`run_tiles_wavefront`]); both poll a stop
+//! predicate once per plane, so the same sweep serves plain and
+//! cancellable runs. [`run_cells_wavefront_profiled`] (and
+//! [`crate::trace::run_cells_wavefront_traced`]) time the cell sweep.
+//!
 //! The kernels receive cell/tile coordinates only — storage is the
 //! caller's, typically a [`crate::SharedGrid`] written under the plane
 //! disjointness contract.
 
-use crate::plane::{plane_cells, plane_cells_vec, Extents};
+use crate::plane::{plane_cells, Extents};
 use crate::profile::{PlaneProfile, PlaneSample};
 use crate::tiles::TileGrid;
 use rayon::prelude::*;
@@ -22,44 +28,15 @@ use std::time::Instant;
 /// overhead negligible for the small early/late planes.
 const MIN_CELLS_PER_TASK: usize = 64;
 
-/// Run `kernel(i, j, k)` over every lattice cell in sequential wavefront
-/// order (plane by plane, cells in plane order). The sequential baseline
-/// for the parallel executors — and, because it visits cells in exactly the
-/// same order a parallel run could, a direct correctness oracle.
-pub fn run_cells_sequential(e: Extents, mut kernel: impl FnMut(usize, usize, usize)) {
-    for d in 0..e.num_planes() {
-        for (i, j, k) in plane_cells(e, d) {
-            kernel(i, j, k);
-        }
-    }
-}
-
 /// Run `kernel(i, j, k)` over every lattice cell with cell-level wavefront
 /// parallelism: all cells of a plane in parallel, a barrier between planes.
-pub fn run_cells_wavefront(e: Extents, kernel: impl Fn(usize, usize, usize) + Sync) {
-    let mut cells: Vec<(usize, usize, usize)> = Vec::with_capacity(e.max_plane_len());
-    for d in 0..e.num_planes() {
-        cells.clear();
-        cells.extend(plane_cells(e, d));
-        if cells.len() < MIN_CELLS_PER_TASK {
-            for &(i, j, k) in &cells {
-                kernel(i, j, k);
-            }
-        } else {
-            cells
-                .par_iter()
-                .with_min_len(MIN_CELLS_PER_TASK)
-                .for_each(|&(i, j, k)| kernel(i, j, k));
-        }
-    }
-}
-
-/// Like [`run_cells_wavefront`], but polls `should_stop` once per
-/// anti-diagonal plane (amortized-free: one check per `O(n²)` cells).
-/// When the predicate fires the sweep stops before starting the next
-/// plane and returns `Err(cells_completed)`; every plane that did start
-/// has fully finished, so storage written so far is consistent.
-pub fn run_cells_wavefront_cancellable(
+///
+/// `should_stop` is polled once per anti-diagonal plane (amortized-free:
+/// one check per `O(n²)` cells). When it fires the sweep stops before
+/// starting the next plane and returns `Err(cells_completed)`; every plane
+/// that did start has fully finished, so storage written so far is
+/// consistent. Pass `|| false` for a sweep that always completes.
+pub fn run_cells_wavefront(
     e: Extents,
     kernel: impl Fn(usize, usize, usize) + Sync,
     mut should_stop: impl FnMut() -> bool,
@@ -156,90 +133,16 @@ pub fn run_cells_wavefront_profiled(
     }
 }
 
-/// Like [`run_tiles_wavefront`], but times every tile plane and returns
-/// a [`PlaneProfile`] with `tile` set to the grid's edge, so each
-/// sample's `items` counts tiles and the fitted `t_cell` is a per-tile
-/// cost. One task per tile — tiles are the scheduling unit, so `tasks`
-/// in each sample is exact.
-pub fn run_tiles_wavefront_profiled(
-    grid: &TileGrid,
-    kernel: impl Fn(usize, usize, usize) + Sync,
-) -> PlaneProfile {
-    let workers = rayon::current_num_threads().max(1);
-    let mut samples = Vec::with_capacity(grid.num_tile_planes());
-    for d in 0..grid.num_tile_planes() {
-        let tiles = grid.tiles_on_plane(d);
-        let started = Instant::now();
-        let (busy_ns, max_task_ns);
-        if tiles.len() == 1 {
-            let (ti, tj, tk) = tiles[0];
-            kernel(ti, tj, tk);
-            let ns = started.elapsed().as_nanos() as u64;
-            busy_ns = ns;
-            max_task_ns = ns;
-        } else {
-            let busy = AtomicU64::new(0);
-            let max_task = AtomicU64::new(0);
-            tiles.par_iter().for_each(|&(ti, tj, tk)| {
-                let t0 = Instant::now();
-                kernel(ti, tj, tk);
-                let ns = t0.elapsed().as_nanos() as u64;
-                busy.fetch_add(ns, Ordering::Relaxed);
-                max_task.fetch_max(ns, Ordering::Relaxed);
-            });
-            busy_ns = busy.into_inner();
-            max_task_ns = max_task.into_inner();
-        }
-        samples.push(PlaneSample {
-            plane: d,
-            items: tiles.len(),
-            tasks: tiles.len(),
-            wall_ns: started.elapsed().as_nanos() as u64,
-            busy_ns,
-            max_task_ns,
-        });
-    }
-    PlaneProfile {
-        workers,
-        tile: grid.tile(),
-        samples,
-    }
-}
-
-/// Run `kernel(ti, tj, tk)` over every tile in sequential tile-wavefront
-/// order.
-pub fn run_tiles_sequential(grid: &TileGrid, mut kernel: impl FnMut(usize, usize, usize)) {
-    for d in 0..grid.num_tile_planes() {
-        for (ti, tj, tk) in grid.tiles_on_plane(d) {
-            kernel(ti, tj, tk);
-        }
-    }
-}
-
 /// Run `kernel(ti, tj, tk)` over every tile with tile-level wavefront
 /// parallelism: all tiles of a tile plane in parallel, a barrier between
 /// tile planes. The kernel itself typically iterates its tile's cells
 /// sequentially (good cache locality).
-pub fn run_tiles_wavefront(grid: &TileGrid, kernel: impl Fn(usize, usize, usize) + Sync) {
-    for d in 0..grid.num_tile_planes() {
-        let tiles = grid.tiles_on_plane(d);
-        if tiles.len() == 1 {
-            let (ti, tj, tk) = tiles[0];
-            kernel(ti, tj, tk);
-        } else {
-            tiles
-                .par_iter()
-                .for_each(|&(ti, tj, tk)| kernel(ti, tj, tk));
-        }
-    }
-}
-
-/// Like [`run_tiles_wavefront`], but polls `should_stop` once per tile
-/// plane. When the predicate fires the sweep stops before starting the
-/// next tile plane and returns `Err(tiles_completed)`; every tile plane
-/// that did start has fully finished, so storage written so far is
-/// consistent.
-pub fn run_tiles_wavefront_cancellable(
+///
+/// `should_stop` is polled once per tile plane. When it fires the sweep
+/// stops before starting the next tile plane and returns
+/// `Err(tiles_completed)`; every tile plane that did start has fully
+/// finished, so storage written so far is consistent.
+pub fn run_tiles_wavefront(
     grid: &TileGrid,
     kernel: impl Fn(usize, usize, usize) + Sync,
     mut should_stop: impl FnMut() -> bool,
@@ -261,17 +164,6 @@ pub fn run_tiles_wavefront_cancellable(
         done += tiles.len() as u64;
     }
     Ok(())
-}
-
-/// Enumerate the cells of each plane once and hand the whole plane to
-/// `plane_fn` (sequentially w.r.t. other planes). Lets callers that want
-/// custom intra-plane strategies (e.g. chunking by `i`) reuse the plane
-/// iteration logic.
-pub fn for_each_plane(e: Extents, mut plane_fn: impl FnMut(usize, &[(usize, usize, usize)])) {
-    for d in 0..e.num_planes() {
-        let cells = plane_cells_vec(e, d);
-        plane_fn(d, &cells);
-    }
 }
 
 #[cfg(test)]
@@ -300,13 +192,8 @@ mod tests {
     }
 
     #[test]
-    fn sequential_visits_each_cell_once() {
-        check_visits_each_cell_once(|e, f| run_cells_sequential(e, f));
-    }
-
-    #[test]
     fn wavefront_visits_each_cell_once() {
-        check_visits_each_cell_once(|e, f| run_cells_wavefront(e, f));
+        check_visits_each_cell_once(|e, f| run_cells_wavefront(e, f, || false).unwrap());
     }
 
     #[test]
@@ -362,18 +249,11 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_without_stop_behaves_like_plain() {
-        check_visits_each_cell_once(|e, f| {
-            run_cells_wavefront_cancellable(e, f, || false).unwrap()
-        });
-    }
-
-    #[test]
-    fn cancellable_stops_between_planes_and_reports_cells() {
+    fn cells_stop_between_planes_and_report_progress() {
         let e = Extents::new(6, 6, 6);
         let visited = AtomicUsize::new(0);
         let mut checks = 0;
-        let err = run_cells_wavefront_cancellable(
+        let err = run_cells_wavefront(
             e,
             |_, _, _| {
                 visited.fetch_add(1, Ordering::Relaxed);
@@ -388,13 +268,6 @@ mod tests {
         assert_eq!(err as usize, visited.load(Ordering::Relaxed));
         assert_eq!(err, 1 + 3 + 6 + 10);
         assert!((err as usize) < e.cells());
-    }
-
-    #[test]
-    fn cancellable_king_distance_matches() {
-        king_distance_with(|e, _g, f| {
-            run_cells_wavefront_cancellable(e, f, || false).unwrap();
-        });
     }
 
     /// King-move longest path: v(i,j,k) = 1 + max(valid predecessors),
@@ -432,13 +305,8 @@ mod tests {
     }
 
     #[test]
-    fn sequential_king_distance() {
-        king_distance_with(|e, _g, f| run_cells_sequential(e, f));
-    }
-
-    #[test]
     fn wavefront_king_distance() {
-        king_distance_with(|e, _g, f| run_cells_wavefront(e, f));
+        king_distance_with(|e, _g, f| run_cells_wavefront(e, f, || false).unwrap());
     }
 
     #[test]
@@ -446,7 +314,7 @@ mod tests {
         let e = Extents::new(9, 7, 8);
         let grid = SharedGrid::new(e.cells(), -1i32);
         let tg = TileGrid::new(e, 3);
-        run_tiles_wavefront(&tg, |ti, tj, tk| {
+        let tile_kernel = |ti, tj, tk| {
             let ((ilo, ihi), (jlo, jhi), (klo, khi)) = tg.cell_ranges(ti, tj, tk);
             for i in ilo..=ihi {
                 for j in jlo..=jhi {
@@ -468,7 +336,8 @@ mod tests {
                     }
                 }
             }
-        });
+        };
+        run_tiles_wavefront(&tg, tile_kernel, || false).unwrap();
         for i in 0..=9 {
             for j in 0..=7 {
                 for k in 0..=8 {
@@ -479,10 +348,10 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_tiles_without_stop_visit_all_tiles_once() {
+    fn tiles_visit_each_tile_once() {
         let tg = TileGrid::new(Extents::new(10, 8, 9), 4);
         let seen: Vec<AtomicUsize> = (0..tg.num_tiles()).map(|_| AtomicUsize::new(0)).collect();
-        run_tiles_wavefront_cancellable(
+        run_tiles_wavefront(
             &tg,
             |i, j, k| {
                 seen[tg.tile_index(i, j, k)].fetch_add(1, Ordering::Relaxed);
@@ -494,11 +363,11 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_tiles_stop_between_tile_planes() {
+    fn tiles_stop_between_tile_planes() {
         let tg = TileGrid::new(Extents::new(11, 11, 11), 4);
         let visited = AtomicUsize::new(0);
         let mut checks = 0;
-        let err = run_tiles_wavefront_cancellable(
+        let err = run_tiles_wavefront(
             &tg,
             |_, _, _| {
                 visited.fetch_add(1, Ordering::Relaxed);
@@ -514,47 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_tiles_visit_all_tiles_and_record_the_edge() {
-        let tg = TileGrid::new(Extents::new(10, 8, 9), 4);
-        let seen: Vec<AtomicUsize> = (0..tg.num_tiles()).map(|_| AtomicUsize::new(0)).collect();
-        let profile = run_tiles_wavefront_profiled(&tg, |i, j, k| {
-            seen[tg.tile_index(i, j, k)].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-        assert_eq!(profile.tile, 4);
-        assert_eq!(profile.samples.len(), tg.num_tile_planes());
-        assert_eq!(profile.total_items(), tg.num_tiles() as u64);
-        for (d, s) in profile.samples.iter().enumerate() {
-            assert_eq!(s.plane, d);
-            assert_eq!(s.items, tg.tiles_on_plane(d).len());
-            assert_eq!(s.tasks, s.items);
-        }
-        let text = profile.summary().to_string();
-        assert!(text.contains("tiles"), "{text}");
-    }
-
-    #[test]
-    fn tiles_sequential_visits_all_tiles_once() {
-        let tg = TileGrid::new(Extents::new(10, 10, 10), 4);
-        let mut seen = vec![0usize; tg.num_tiles()];
-        run_tiles_sequential(&tg, |i, j, k| seen[tg.tile_index(i, j, k)] += 1);
-        assert!(seen.iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn for_each_plane_in_order() {
-        let e = Extents::new(2, 2, 2);
-        let mut planes_seen = Vec::new();
-        for_each_plane(e, |d, cells| {
-            planes_seen.push(d);
-            for &(i, j, k) in cells {
-                assert_eq!(i + j + k, d);
-            }
-        });
-        assert_eq!(planes_seen, (0..e.num_planes()).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn respects_installed_pool() {
         // Running inside a 2-thread pool must not deadlock and must still
         // produce correct results.
@@ -563,7 +391,7 @@ mod tests {
             .build()
             .unwrap();
         pool.install(|| {
-            king_distance_with(|e, _g, f| run_cells_wavefront(e, f));
+            king_distance_with(|e, _g, f| run_cells_wavefront(e, f, || false).unwrap());
         });
     }
 }

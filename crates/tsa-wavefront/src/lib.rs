@@ -14,7 +14,8 @@
 //!   enumerate *tile planes* (the coarse wavefront);
 //! * [`grid`] — [`grid::SharedGrid`], an unsafe-interior shared write buffer
 //!   for disjoint parallel writes into one allocation;
-//! * [`executor`] — a rayon plane-barrier executor;
+//! * [`executor`] — rayon plane-barrier executors: one over cells, one
+//!   over tiles, each with a once-per-plane stop poll;
 //! * [`profile`] — per-plane timing ([`profile::PlaneProfile`]) captured by
 //!   the profiled executor: occupancy, load imbalance, barrier overhead;
 //! * [`dataflow`] — a crossbeam counter-based dataflow executor (no global
@@ -31,7 +32,6 @@ pub mod executor;
 pub mod grid;
 pub mod plane;
 pub mod profile;
-pub mod simulate;
 pub mod snapshot;
 pub mod stats;
 pub mod tiles;

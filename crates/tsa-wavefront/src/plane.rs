@@ -126,12 +126,6 @@ impl Iterator for PlaneIter {
     }
 }
 
-/// Collect the cells of plane `d` into a vector (convenience for executors
-/// that want slices to `par_iter` over).
-pub fn plane_cells_vec(e: Extents, d: usize) -> Vec<(usize, usize, usize)> {
-    plane_cells(e, d).collect()
-}
-
 /// Iterate plane `d` as whole rows `(i, j_lo, j_hi)`: for each valid `i`,
 /// the contiguous run of valid `j` (with `k = d − i − j` implied). This is
 /// the unit the SIMD row kernels consume — every cell of a row reads its
@@ -150,6 +144,10 @@ pub fn plane_rows(e: Extents, d: usize) -> impl Iterator<Item = (usize, usize, u
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn cells(e: Extents, d: usize) -> Vec<(usize, usize, usize)> {
+        plane_cells(e, d).collect()
+    }
 
     fn exhaustive_plane(e: Extents, d: usize) -> Vec<(usize, usize, usize)> {
         let mut v = Vec::new();
@@ -178,7 +176,7 @@ mod tests {
     fn iterator_matches_exhaustive_enumeration() {
         let e = Extents::new(3, 4, 2);
         for d in 0..e.num_planes() + 2 {
-            let got = plane_cells_vec(e, d);
+            let got = cells(e, d);
             let want = exhaustive_plane(e, d);
             assert_eq!(got, want, "plane {d}");
         }
@@ -192,11 +190,7 @@ mod tests {
                 let from_rows: Vec<(usize, usize, usize)> = plane_rows(e, d)
                     .flat_map(|(i, lo, hi)| (lo..=hi).map(move |j| (i, j, d - i - j)))
                     .collect();
-                assert_eq!(
-                    from_rows,
-                    plane_cells_vec(e, d),
-                    "({n1},{n2},{n3}) plane {d}"
-                );
+                assert_eq!(from_rows, cells(e, d), "({n1},{n2},{n3}) plane {d}");
             }
         }
     }
@@ -204,9 +198,9 @@ mod tests {
     #[test]
     fn first_and_last_planes_are_corners() {
         let e = Extents::new(3, 5, 4);
-        assert_eq!(plane_cells_vec(e, 0), vec![(0, 0, 0)]);
-        assert_eq!(plane_cells_vec(e, 12), vec![(3, 5, 4)]);
-        assert_eq!(plane_cells_vec(e, 13), vec![]);
+        assert_eq!(cells(e, 0), vec![(0, 0, 0)]);
+        assert_eq!(cells(e, 12), vec![(3, 5, 4)]);
+        assert_eq!(cells(e, 13), vec![]);
     }
 
     #[test]
@@ -250,7 +244,7 @@ mod tests {
         let e = Extents::new(0, 0, 3);
         assert_eq!(e.num_planes(), 4);
         for d in 0..4 {
-            assert_eq!(plane_cells_vec(e, d), vec![(0, 0, d)]);
+            assert_eq!(cells(e, d), vec![(0, 0, d)]);
         }
     }
 

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use three_seq_align::core::{
-    affine, bounds, center_star, full, hirschberg3, score_only, wavefront,
+    affine, bounds, center_star, full, hirschberg3, score_only, wavefront, SimdKernel,
 };
 use three_seq_align::pairwise::{banded, gotoh, hirschberg as hirschberg2, nw, wavefront_par};
 use three_seq_align::prelude::*;
@@ -54,8 +54,8 @@ proptest! {
     fn three_seq_variants_agree(a in dna(10), b in dna(10), c in dna(10)) {
         let s = scoring();
         let reference = full::align_score(&a, &b, &c, &s);
-        prop_assert_eq!(wavefront::align_score(&a, &b, &c, &s), reference);
-        prop_assert_eq!(score_only::score_slabs(&a, &b, &c, &s), reference);
+        prop_assert_eq!(wavefront::align(&a, &b, &c, &s).score, reference);
+        prop_assert_eq!(score_only::score_slabs_with(&a, &b, &c, &s, SimdKernel::Auto), reference);
         prop_assert_eq!(score_only::score_planes_parallel(&a, &b, &c, &s), reference);
         prop_assert_eq!(hirschberg3::align(&a, &b, &c, &s).score, reference);
         prop_assert_eq!(hirschberg3::align_parallel(&a, &b, &c, &s).score, reference);

@@ -5,6 +5,7 @@
 
 use three_seq_align::core::{
     blocked, carrillo_lipman, full, hirschberg3, score_only, wavefront, Algorithm, Aligner,
+    SimdKernel,
 };
 use three_seq_align::prelude::*;
 
@@ -20,13 +21,16 @@ fn all_variants_agree_at_n128() {
     let scoring = Scoring::dna_default();
     let (a, b, c) = big_triple(128, 1);
     let reference = full::align_score(&a, &b, &c, &scoring);
-    assert_eq!(wavefront::align_score(&a, &b, &c, &scoring), reference);
+    assert_eq!(wavefront::align(&a, &b, &c, &scoring).score, reference);
     assert_eq!(blocked::align_score(&a, &b, &c, &scoring, 16), reference);
     assert_eq!(
         blocked::fill_dataflow(&a, &b, &c, &scoring, 16, 4).final_score(),
         reference
     );
-    assert_eq!(score_only::score_slabs(&a, &b, &c, &scoring), reference);
+    assert_eq!(
+        score_only::score_slabs_with(&a, &b, &c, &scoring, SimdKernel::Auto),
+        reference
+    );
     assert_eq!(
         score_only::score_planes_parallel(&a, &b, &c, &scoring),
         reference
